@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -12,13 +13,15 @@ import (
 
 	"treesched/internal/machine"
 	"treesched/internal/sched"
+	"treesched/internal/service"
 	"treesched/internal/traversal"
 	"treesched/internal/tree"
 )
 
 // The core suite microbenchmarks the zero-allocation scheduling core —
 // Liu's traversals, the rank-keyed list scheduler, the capped schedulers
-// and the schedule evaluator — per bench × tree family × size, and
+// and the schedule evaluator — and the request decoders that feed it, per
+// bench × tree family × size, and
 // reports ns/op, allocs/op and ops/sec for each cell. The checked-in
 // BENCH_core.json baseline turns it into a CI regression gate for both
 // speed and allocation discipline.
@@ -136,6 +139,18 @@ func coreMain(scale string, seed int64, machSpec, out, baseline string, maxratio
 			if err != nil {
 				fatal(err)
 			}
+			// The Decode rows read the tree from its two wire forms, and from
+			// a whole /v1/schedule request body through the envelope split.
+			wireJSON, err := json.Marshal(t)
+			if err != nil {
+				fatal(err)
+			}
+			var wireText bytes.Buffer
+			if err := t.Encode(&wireText); err != nil {
+				fatal(err)
+			}
+			body := append([]byte(`{"id":"bench-1","p":8,"heuristics":["ParInnerFirst","ParDeepestFirst"],"tree":`), wireJSON...)
+			body = append(body, `,"objective":"min_makespan"}`...)
 			benches := []struct {
 				name string
 				run  func()
@@ -164,6 +179,22 @@ func coreMain(scale string, seed int64, machSpec, out, baseline string, maxratio
 				{"ParDeepestFirst/het", func() { mustRun(pc.ParDeepestFirstOn(het)) }},
 				{"MemCappedBooking/het", func() { mustRun(pc.MemCappedBookingOn(het, cap2)) }},
 				{"Evaluate/het", func() { mustEval(t, sHet) }},
+				{"Decode/json", func() {
+					var d tree.Tree
+					mustDecode(d.UnmarshalJSON(wireJSON))
+				}},
+				{"Decode/text", func() {
+					_, err := tree.DecodeMax(bytes.NewReader(wireText.Bytes()), math.MaxInt)
+					mustDecode(err)
+				}},
+				{"Decode/request", func() {
+					var req service.Request
+					c, err := tree.DecodeEnvelope(body, service.DefaultMaxNodes, &req)
+					if err == nil {
+						_, err = c.Tree()
+					}
+					mustDecode(err)
+				}},
 			}
 			for _, b := range benches {
 				nsOp, allocsOp := measure(b.run, budget)
@@ -278,6 +309,12 @@ func cloneSchedule(s *sched.Schedule) *sched.Schedule {
 }
 
 func mustRun(s *sched.Schedule, err error) {
+	if err != nil {
+		fatal(err)
+	}
+}
+
+func mustDecode(err error) {
 	if err != nil {
 		fatal(err)
 	}

@@ -107,7 +107,7 @@ func planJob(ctx context.Context, idx int, j *Job, cfg Config) *jobState {
 		js.rejectReason = fmt.Sprintf("invalid arrival time %v", j.Arrival)
 		return js
 	}
-	t, err := j.resolveTree(math.MaxInt)
+	t, err := j.resolveTree()
 	if err != nil {
 		js.rejectReason = err.Error()
 		return js

@@ -47,19 +47,16 @@ type Job struct {
 	TreeText string     `json:"tree_text,omitempty"`
 }
 
-// resolveTree returns the job's tree, decoding TreeText when necessary.
-// maxNodes caps the tree size (checked before allocation for TreeText).
-func (j *Job) resolveTree(maxNodes int) (*tree.Tree, error) {
+// resolveTree returns the job's tree, decoding TreeText when necessary
+// (DecodeTrace has already resolved the jobs it returns).
+func (j *Job) resolveTree() (*tree.Tree, error) {
 	switch {
 	case j.Tree != nil && j.TreeText != "":
 		return nil, errors.New("exactly one of tree and tree_text must be set, got both")
 	case j.Tree != nil:
-		if j.Tree.Len() > maxNodes {
-			return nil, fmt.Errorf("%w: tree has %d nodes, limit is %d", tree.ErrTooLarge, j.Tree.Len(), maxNodes)
-		}
 		return j.Tree, nil
 	case j.TreeText != "":
-		return tree.DecodeMax(strings.NewReader(j.TreeText), maxNodes)
+		return tree.Decode(strings.NewReader(j.TreeText))
 	}
 	return nil, errors.New("one of tree and tree_text is required")
 }
@@ -93,10 +90,12 @@ func (l DecodeLimits) withDefaults() DecodeLimits {
 var ErrTraceTooLarge = errors.New("forest: trace too large")
 
 // DecodeTrace parses an NDJSON job trace: one Job per line, blank lines
-// and #-comments skipped. Decoding is strict — a malformed line fails the
-// whole trace with its line number — because a forest run is one coherent
-// simulation, not independent requests. Trees are validated and resolved
-// here, so the returned jobs are ready for Run.
+// and #-comments skipped. Each line goes through tree.DecodeEnvelope, so
+// its tree is decoded straight from the line's bytes under MaxNodes.
+// Decoding is strict — a malformed line fails the whole trace with its
+// line number — because a forest run is one coherent simulation, not
+// independent requests. Trees are validated and resolved here, so the
+// returned jobs are ready for Run.
 func DecodeTrace(r io.Reader, lim DecodeLimits) ([]Job, error) {
 	lim = lim.withDefaults()
 	sc := bufio.NewScanner(r)
@@ -117,23 +116,19 @@ func DecodeTrace(r io.Reader, lim DecodeLimits) ([]Job, error) {
 			return nil, fmt.Errorf("%w: more than %d jobs", ErrTraceTooLarge, lim.MaxJobs)
 		}
 		var j Job
-		if err := json.Unmarshal(line, &j); err != nil {
+		carried, err := tree.DecodeEnvelope(line, lim.MaxNodes, &j)
+		if err == nil {
+			j.Tree, err = carried.Tree()
+		}
+		if err != nil {
 			// A failed read (e.g. an aggregate body limit) hands the
 			// scanner a truncated final token; blame the read error, not
 			// the mangled JSON it produced.
 			if rerr := sc.Err(); rerr != nil {
 				return nil, fmt.Errorf("forest: reading trace: %w", rerr)
 			}
-			return nil, fmt.Errorf("forest: trace line %d: %v", lineNo, err)
-		}
-		t, err := j.resolveTree(lim.MaxNodes)
-		if err != nil {
-			if rerr := sc.Err(); rerr != nil {
-				return nil, fmt.Errorf("forest: reading trace: %w", rerr)
-			}
 			return nil, fmt.Errorf("forest: trace line %d: %w", lineNo, err)
 		}
-		j.Tree, j.TreeText = t, ""
 		jobs = append(jobs, j)
 	}
 	if err := sc.Err(); err != nil {

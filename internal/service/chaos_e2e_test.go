@@ -260,8 +260,15 @@ func TestChaosEvictionStorm(t *testing.T) {
 		}
 	}
 	assertSuccessesIdentical(t, baseline, got)
+	// The batch lines run on two workers at once, so two of them can each
+	// purge, miss and insert; the cache is only quiescent once the
+	// workload is over. One more request, sent alone, purges before its
+	// lookup and inserts its own answer: only that entry can survive.
+	rec := postJSON(t, h, "/v1/schedule", Request{ID: "last", Tree: testTree(t, 130, 20), Processors: 2})
+	if resp := decodeResponse(t, rec); resp.Error != "" || resp.Cached {
+		t.Errorf("final request under eviction chaos: cached=%v error=%q", resp.Cached, resp.Error)
+	}
 	if n := s.cache.len(); n > 1 {
-		// Only the final request's entry can survive the storm.
 		t.Errorf("cache holds %d entries under evict=1, want <= 1", n)
 	}
 	s.Close()

@@ -194,8 +194,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		s.rejectJSON(w, http.StatusBadRequest, s.metrics.errDecode, terr.Error())
 		return
 	}
+	// Go's HTTP/1 server discards the unread rest of a request body at the
+	// handler's first response write unless full duplex is enabled; the
+	// reader below is usually still framing lines when the first answer is
+	// flushed, so without this the remaining lines would be lost. Recorders
+	// and HTTP/2 do not support (or need) it, so the error is ignored.
+	rc := http.NewResponseController(w)
+	_ = rc.EnableFullDuplex()
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
 
 	// Set by the writer when the client stops reading; makes the reader
 	// quit instead of scheduling work nobody will receive.
@@ -276,7 +282,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// A per-line write deadline bounds how long a stalled-but-connected
 	// client can pin this handler in Encode on TCP backpressure; a blown
 	// deadline surfaces as a write error and aborts the batch.
-	rc := http.NewResponseController(w)
 	defer rc.SetWriteDeadline(time.Time{}) // don't leak the deadline into later keep-alive requests
 	enc := json.NewEncoder(w)
 	for ch := range results {
@@ -289,9 +294,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			clientGone.Store(true)
 			continue
 		}
-		if flusher != nil {
-			flusher.Flush()
-		}
+		rc.Flush()
 	}
 	elapsed := time.Since(start)
 	s.metrics.latBatch.ObserveExemplar(elapsed.Nanoseconds(), rid)
@@ -370,20 +373,17 @@ func (s *Server) answerBytes(ctx context.Context, arrival time.Time, raw []byte,
 	if ctx.Err() != nil {
 		return s.ctxErrResponse(ctx, "")
 	}
-	var req Request
-	did := tr.Start("decode", obs.RootSpan)
-	err := json.Unmarshal(raw, &req)
-	tr.End(did)
+	req, jb, err := s.parse(raw, forcePortfolio, tr)
 	if err != nil {
-		s.metrics.errDecode.Inc()
+		st, kind := errorClass(err)
+		if kind == errKindLimit {
+			s.metrics.errLimit.Inc()
+		} else {
+			s.metrics.errDecode.Inc()
+		}
 		// req.ID is echoed best-effort: it is populated whenever the id
 		// field was decoded before the failure.
-		return http.StatusBadRequest, &Response{ID: req.ID, Error: "invalid request: " + err.Error(), errKind: errKindDecode}
-	}
-	if req.TimeoutMS < 0 {
-		s.metrics.errDecode.Inc()
-		return http.StatusBadRequest, &Response{ID: req.ID,
-			Error: fmt.Sprintf("timeout_ms must be >= 0, got %d", req.TimeoutMS), errKind: errKindDecode}
+		return st, &Response{ID: req.ID, Error: err.Error(), errKind: kind}
 	}
 	if req.TimeoutMS > 0 {
 		// The field can only tighten the surrounding budget: the nested
@@ -391,22 +391,6 @@ func (s *Server) answerBytes(ctx context.Context, arrival time.Time, raw []byte,
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithDeadline(ctx, arrival.Add(time.Duration(req.TimeoutMS)*time.Millisecond))
 		defer cancel()
-	}
-	jb, err := s.prepare(req, forcePortfolio, tr)
-	if err != nil {
-		st := http.StatusBadRequest
-		kind := errKindDecode
-		var re *requestError
-		if errors.As(err, &re) {
-			st = re.status
-		}
-		if st == http.StatusRequestEntityTooLarge {
-			s.metrics.errLimit.Inc()
-			kind = errKindLimit
-		} else {
-			s.metrics.errDecode.Inc()
-		}
-		return st, &Response{ID: req.ID, Error: err.Error(), errKind: kind}
 	}
 	j = jb
 	s.metrics.treeNodes.ObserveExemplar(int64(j.tree.Len()), rid)

@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -205,8 +206,17 @@ func TestOverloadShedsFastAndReadyzDrains(t *testing.T) {
 	if dec := s.admit(resilience.PriorityHigh); dec != resilience.Admitted {
 		t.Fatalf("setup admit: %v", dec)
 	}
+	// release runs before the deferred Close, so a failed assertion below
+	// cannot leave Close waiting on the pinned worker.
 	block := make(chan struct{})
-	s.submit(func() { <-block })
+	release := sync.OnceFunc(func() { close(block) })
+	defer release()
+	started := make(chan struct{})
+	s.submit(func() { close(started); <-block })
+	// submit observes the job's own (near-zero) queue wait on the worker
+	// before the job runs; wait for the job to start so that observation
+	// cannot land after the synthetic overload below and end the episode.
+	<-started
 	// Drive the shedder into an overload episode with two observed
 	// dequeue waits far over target, a full interval apart.
 	now := time.Now().UnixNano()
@@ -240,7 +250,7 @@ func TestOverloadShedsFastAndReadyzDrains(t *testing.T) {
 
 	// Drain: release the worker, let the window empty, and feed the
 	// shedder one healthy dequeue wait; readiness must recover.
-	close(block)
+	release()
 	deadline := time.Now().Add(2 * time.Second)
 	for s.adm.Occupancy() != 0 {
 		if time.Now().After(deadline) {

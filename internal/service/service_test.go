@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -15,6 +16,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"treesched/internal/portfolio"
 	"treesched/internal/sched"
@@ -344,6 +346,87 @@ func TestBatchBadLinesDoNotBreakStream(t *testing.T) {
 	}
 	if out[3].ID != "ok-2" || out[3].Error != "" {
 		t.Errorf("line 3: %+v", out[3])
+	}
+}
+
+// TestBatchFullDuplexOverSocket keeps a batch's request body open on a
+// real connection until the first answer line has arrived, as a client
+// streaming a long batch does. Go's HTTP/1 server discards the unread rest
+// of a body at the handler's first write unless full duplex is enabled, so
+// every line sent after the first answer must still be read and answered,
+// one line per request line, in order.
+func TestBatchFullDuplexOverSocket(t *testing.T) {
+	s := New(Config{Workers: 2})
+	defer s.Close()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const n = 6
+	lines := make([][]byte, n)
+	for i := range lines {
+		b, err := json.Marshal(Request{ID: fmt.Sprintf("b%d", i), Tree: testTree(t, int64(200+i), 30), Processors: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines[i] = append(b, '\n')
+	}
+	pr, pw := io.Pipe()
+	defer pw.Close()
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/schedule/batch", pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	go pw.Write(lines[0])
+	type result struct {
+		resp *http.Response
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		resp, err := ts.Client().Do(req)
+		done <- result{resp, err}
+	}()
+	var res result
+	select {
+	case res = <-done:
+	case <-time.After(5 * time.Second):
+		t.Error("no answer within 5s while the request body was still open")
+		for _, l := range lines[1:] {
+			pw.Write(l)
+		}
+		pw.Close()
+		res = <-done
+	}
+	if res.err != nil {
+		t.Fatal(res.err)
+	}
+	defer res.resp.Body.Close()
+	br := bufio.NewReader(res.resp.Body)
+	first, err := br.ReadBytes('\n')
+	if err != nil {
+		t.Fatalf("reading the first answer line: %v", err)
+	}
+	// The first answer is in; only now does the client send the rest.
+	for _, l := range lines[1:] {
+		pw.Write(l)
+	}
+	pw.Close()
+	rest, err := io.ReadAll(br)
+	if err != nil {
+		t.Fatalf("reading the remaining answer lines: %v", err)
+	}
+	got := append([]string{string(bytes.TrimSpace(first))}, strings.Split(strings.TrimSpace(string(rest)), "\n")...)
+	if len(got) != n {
+		t.Fatalf("got %d answer lines for %d request lines:\n%s", len(got), n, strings.Join(got, "\n"))
+	}
+	for i, line := range got {
+		var resp Response
+		if err := json.Unmarshal([]byte(line), &resp); err != nil {
+			t.Fatalf("answer line %d not JSON: %v\n%s", i, err, line)
+		}
+		if want := fmt.Sprintf("b%d", i); resp.ID != want || resp.Error != "" {
+			t.Errorf("answer line %d: id %q error %q, want id %q and no error", i, resp.ID, resp.Error, want)
+		}
 	}
 }
 

@@ -183,6 +183,21 @@ func badRequest(format string, args ...any) *requestError {
 	return &requestError{status: http.StatusBadRequest, msg: fmt.Sprintf(format, args...)}
 }
 
+// errorClass maps a failed request to its HTTP status and errors_total
+// kind: 413 for a request over a size limit (kind limit), otherwise 400 or
+// the requestError's own status (kind decode).
+func errorClass(err error) (status int, kind string) {
+	status = http.StatusBadRequest
+	var re *requestError
+	if errors.As(err, &re) {
+		status = re.status
+	}
+	if status == http.StatusRequestEntityTooLarge {
+		return status, errKindLimit
+	}
+	return status, errKindDecode
+}
+
 // job is a validated, runnable request: the parsed tree plus the resolved
 // scheduling options and the cache key identifying the result. A non-nil
 // objective marks a portfolio job (heuristics race concurrently; the
@@ -211,40 +226,40 @@ type job struct {
 	timeline bool
 }
 
-// prepare validates req against the server limits and resolves it into a
-// runnable job. forcePortfolio puts the job in portfolio mode even without
-// an explicit objective (the /v1/portfolio endpoint). A non-nil tr records
-// the canonical-hash stage.
-func (s *Server) prepare(req Request, forcePortfolio bool, tr *obs.Trace) (*job, error) {
-	var t *tree.Tree
-	switch {
-	case req.Tree != nil && req.TreeText != "":
-		return nil, badRequest("exactly one of tree and tree_text must be set, got both")
-	case req.Tree != nil:
-		t = req.Tree
-	case req.TreeText != "":
-		var err error
-		// DecodeMax caps the declared node count before allocation, so a
-		// tiny hostile payload cannot demand MaxNodes-independent memory.
-		t, err = tree.DecodeMax(strings.NewReader(req.TreeText), s.cfg.MaxNodes)
-		if err != nil {
-			if errors.Is(err, tree.ErrTooLarge) {
-				return nil, &requestError{status: http.StatusRequestEntityTooLarge, msg: err.Error()}
-			}
-			return nil, badRequest("invalid tree_text: %v", err)
+// parse decodes one raw JSON request and resolves it into a runnable job.
+// The request's tree member is decoded straight from raw, under the
+// MaxNodes cap, and only the other members go through encoding/json. Every
+// failure is a *requestError (400, or 413 for a tree over MaxNodes); req
+// holds whatever was decoded before it.
+func (s *Server) parse(raw []byte, forcePortfolio bool, tr *obs.Trace) (req Request, j *job, err error) {
+	did := tr.Start("decode", obs.RootSpan)
+	carried, err := tree.DecodeEnvelope(raw, s.cfg.MaxNodes, &req)
+	tr.End(did)
+	if err != nil {
+		return req, nil, badRequest("invalid request: %v", err)
+	}
+	if req.TimeoutMS < 0 {
+		return req, nil, badRequest("timeout_ms must be >= 0, got %d", req.TimeoutMS)
+	}
+	t, err := carried.Tree()
+	if err != nil {
+		if errors.Is(err, tree.ErrTooLarge) {
+			return req, nil, &requestError{status: http.StatusRequestEntityTooLarge, msg: err.Error()}
 		}
-	default:
-		return nil, badRequest("one of tree and tree_text is required")
+		return req, nil, badRequest("%v", err)
 	}
 	if t.Len() == 0 {
-		return nil, badRequest("tree is empty")
+		return req, nil, badRequest("tree is empty")
 	}
-	if t.Len() > s.cfg.MaxNodes {
-		return nil, &requestError{
-			status: http.StatusRequestEntityTooLarge,
-			msg:    fmt.Sprintf("tree has %d nodes, limit is %d", t.Len(), s.cfg.MaxNodes),
-		}
-	}
+	j, err = s.prepare(req, t, forcePortfolio, tr)
+	return req, j, err
+}
+
+// prepare validates req against the server limits and resolves it, with
+// its decoded tree t, into a runnable job. forcePortfolio puts the job in
+// portfolio mode even without an explicit objective (the /v1/portfolio
+// endpoint). A non-nil tr records the canonical-hash stage.
+func (s *Server) prepare(req Request, t *tree.Tree, forcePortfolio bool, tr *obs.Trace) (*job, error) {
 	p := req.Processors
 	var mm *machine.Model
 	if req.Machine != "" {

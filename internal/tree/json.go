@@ -1,8 +1,11 @@
 package tree
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
+	"strconv"
 )
 
 // treeJSON is the wire form of a Tree used by the JSON codec and the
@@ -22,23 +25,194 @@ func (t *Tree) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON decodes the format produced by MarshalJSON and validates it
-// with the same rules as New. Absent n/f arrays default to all-zero.
+// with the same rules as New. Absent n/f arrays default to all-zero. It
+// accepts exactly what encoding/json accepts for that format: member keys
+// match case-insensitively, the last of duplicate members wins, unknown
+// members are ignored, and null decodes to the empty tree (as a null
+// member or array element decodes to zero).
 func (t *Tree) UnmarshalJSON(data []byte) error {
-	var tj treeJSON
-	if err := json.Unmarshal(data, &tj); err != nil {
-		return fmt.Errorf("tree: json: %w", err)
+	s := scanner{b: data}
+	s.ws()
+	var nt *Tree
+	var err error
+	if s.peek() == 'n' {
+		if err = s.literal("null"); err == nil {
+			nt = &Tree{root: None}
+		}
+	} else {
+		nt, err = decodeJSON(&s, 1, math.MaxInt)
 	}
-	nn := len(tj.Parent)
-	if tj.N == nil {
-		tj.N = make([]int64, nn)
+	if err == nil {
+		if s.ws(); s.i < len(data) {
+			err = s.fail("after top-level value")
+		}
 	}
-	if tj.F == nil {
-		tj.F = make([]int64, nn)
-	}
-	nt, err := New(tj.Parent, tj.W, tj.N, tj.F)
 	if err != nil {
-		return err
+		return jsonError(err)
 	}
 	*t = *nt
 	return nil
+}
+
+// decodeJSON decodes the tree object at the cursor, opened at nesting
+// depth depth, and leaves the cursor after it. Each array's elements are
+// counted before it is allocated; an array of more than maxNodes elements
+// is validated but not stored, and the tree is then reported as too large
+// (wrapping ErrTooLarge) once the whole object has been read.
+func decodeJSON(s *scanner, depth, maxNodes int) (*Tree, error) {
+	if s.peek() != '{' {
+		return nil, fmt.Errorf("cannot decode a tree from a JSON value starting with %q", s.peek())
+	}
+	var (
+		parent []int
+		w      []float64
+		n, f   []int64
+		counts [4]int // elements of the last parent, w, n and f member
+	)
+	for more := s.open(); more; {
+		key, esc, err := s.key()
+		if err != nil {
+			return nil, err
+		}
+		switch {
+		case keyIs(key, esc, "parent"):
+			parent, counts[0], err = wireArray(s, "parent", maxNodes, parseJSONInt)
+		case keyIs(key, esc, "w"):
+			w, counts[1], err = wireArray(s, "w", maxNodes, parseJSONFloat)
+		case keyIs(key, esc, "n"):
+			n, counts[2], err = wireArray(s, "n", maxNodes, parseJSONInt64)
+		case keyIs(key, esc, "f"):
+			f, counts[3], err = wireArray(s, "f", maxNodes, parseJSONInt64)
+		default:
+			err = s.skipValue(depth + 1)
+		}
+		if err != nil {
+			return nil, err
+		}
+		if more, err = s.more(true); err != nil {
+			return nil, err
+		}
+	}
+	for k, c := range counts {
+		if c > maxNodes {
+			return nil, fmt.Errorf("%w: %s has %d elements, limit is %d",
+				ErrTooLarge, [...]string{"parent", "w", "n", "f"}[k], c, maxNodes)
+		}
+	}
+	nn := len(parent)
+	if n == nil {
+		n = make([]int64, nn)
+	}
+	if f == nil {
+		f = make([]int64, nn)
+	}
+	if err := checkLengths(parent, w, n, f); err != nil {
+		return nil, err
+	}
+	return build(parent, w, n, f)
+}
+
+// wireArray decodes the member value at the cursor: null (a nil slice) or
+// an array of numbers and nulls, where a null element decodes to zero. It
+// returns the element count, counted before anything is allocated; an
+// array of more than maxNodes elements is validated by parse but not
+// stored.
+func wireArray[T int | int64 | float64](s *scanner, name string, maxNodes int, parse func([]byte) (T, bool)) ([]T, int, error) {
+	switch s.peek() {
+	case 'n':
+		return nil, 0, s.literal("null")
+	case '[':
+	default:
+		return nil, 0, fmt.Errorf("%s: cannot decode a JSON value starting with %q into an array of numbers", name, s.peek())
+	}
+	// Elements are numbers and nulls, which hold no bracket or comma: the
+	// first ']' closes the array, and the commas before it separate its
+	// elements. Anything else fails the element parse below before the
+	// count could matter.
+	end := bytes.IndexByte(s.b[s.i:], ']')
+	if end < 0 {
+		s.i = len(s.b)
+		return nil, 0, s.fail("")
+	}
+	count := 0
+	if len(bytes.Trim(s.b[s.i+1:s.i+end], " \t\r\n")) > 0 {
+		count = bytes.Count(s.b[s.i:s.i+end], []byte{','}) + 1
+	}
+	var vals []T
+	if count <= maxNodes {
+		vals = make([]T, count)
+	}
+	k := 0
+	for more := s.open(); more; k++ {
+		var v T
+		if s.peek() == 'n' {
+			if err := s.literal("null"); err != nil {
+				return nil, 0, err
+			}
+		} else {
+			lit, err := s.number()
+			if err != nil {
+				return nil, 0, err
+			}
+			var ok bool
+			if v, ok = parse(lit); !ok {
+				return nil, 0, fmt.Errorf("%s: cannot decode number %s into %T", name, lit, v)
+			}
+		}
+		if vals != nil {
+			vals[k] = v
+		}
+		var err error
+		if more, err = s.more(false); err != nil {
+			return nil, 0, err
+		}
+	}
+	return vals, count, nil
+}
+
+// parseJSONInt and parseJSONInt64 convert a JSON number literal to an
+// integer as encoding/json does: strconv.ParseInt with the type's width,
+// so a fraction, an exponent or an overflow fails.
+func parseJSONInt(lit []byte) (int, bool) {
+	v, err := parseInt(lit, strconv.IntSize)
+	return int(v), err == nil
+}
+
+func parseJSONInt64(lit []byte) (int64, bool) {
+	v, err := parseInt(lit, 64)
+	return v, err == nil
+}
+
+// parseJSONFloat converts a JSON number literal to a float64 as
+// encoding/json does.
+func parseJSONFloat(lit []byte) (float64, bool) {
+	v, err := strconv.ParseFloat(string(lit), 64)
+	return v, err == nil
+}
+
+// parseInt parses a base-10 integer of the given bit size exactly as
+// strconv.ParseInt(string(b), 10, bits) does, without allocating on the
+// common short form: an optional sign and up to 18 digits.
+func parseInt(b []byte, bits int) (int64, error) {
+	d := b
+	if len(d) > 0 && (d[0] == '+' || d[0] == '-') {
+		d = d[1:]
+	}
+	if len(d) == 0 || len(d) > 18 {
+		return strconv.ParseInt(string(b), 10, bits)
+	}
+	var v int64
+	for _, c := range d {
+		if c < '0' || c > '9' {
+			return strconv.ParseInt(string(b), 10, bits)
+		}
+		v = v*10 + int64(c-'0')
+	}
+	if b[0] == '-' {
+		v = -v
+	}
+	if bits < 64 && v != v<<(64-bits)>>(64-bits) {
+		return strconv.ParseInt(string(b), 10, bits)
+	}
+	return v, nil
 }

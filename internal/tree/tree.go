@@ -35,20 +35,30 @@ var ErrInvalidTree = errors.New("tree: invalid tree")
 // New builds a tree from a parent vector. parent[i] is the parent of node i,
 // or None for the (unique) root. w, n and f give the node weights; they must
 // all have the same length as parent. n and f entries must be non-negative
-// and w entries must not be negative or NaN.
+// and w entries must not be negative or NaN. The tree keeps copies of the
+// slices.
 func New(parent []int, w []float64, n, f []int64) (*Tree, error) {
-	nn := len(parent)
-	if len(w) != nn || len(n) != nn || len(f) != nn {
-		return nil, fmt.Errorf("%w: mismatched slice lengths (parent=%d w=%d n=%d f=%d)",
+	if err := checkLengths(parent, w, n, f); err != nil {
+		return nil, err
+	}
+	return build(append([]int(nil), parent...), append([]float64(nil), w...),
+		append([]int64(nil), n...), append([]int64(nil), f...))
+}
+
+func checkLengths(parent []int, w []float64, n, f []int64) error {
+	if nn := len(parent); len(w) != nn || len(n) != nn || len(f) != nn {
+		return fmt.Errorf("%w: mismatched slice lengths (parent=%d w=%d n=%d f=%d)",
 			ErrInvalidTree, nn, len(w), len(n), len(f))
 	}
-	t := &Tree{
-		parent: append([]int(nil), parent...),
-		w:      append([]float64(nil), w...),
-		n:      append([]int64(nil), n...),
-		f:      append([]int64(nil), f...),
-		root:   None,
-	}
+	return nil
+}
+
+// build validates equal-length vectors with New's rules and makes a tree
+// that owns them: the decoders hand over freshly allocated arrays, so no
+// copy is needed.
+func build(parent []int, w []float64, n, f []int64) (*Tree, error) {
+	nn := len(parent)
+	t := &Tree{parent: parent, w: w, n: n, f: f, root: None}
 	for i := 0; i < nn; i++ {
 		if t.w[i] < 0 || t.w[i] != t.w[i] {
 			return nil, fmt.Errorf("%w: node %d has invalid processing time %v", ErrInvalidTree, i, t.w[i])
@@ -87,52 +97,57 @@ func MustNew(parent []int, w []float64, n, f []int64) *Tree {
 }
 
 // buildChildren derives the children lists and a topological order, and
-// verifies that the parent vector is acyclic (i.e. an actual tree).
+// verifies that the parent vector is acyclic (i.e. an actual tree). The
+// lists list children in index order and share one backing array, each
+// capped at its length so that no list can grow into its neighbour.
 func (t *Tree) buildChildren() error {
 	nn := len(t.parent)
-	counts := make([]int, nn)
+	// next[p] counts, then offsets, then fills p's block of kids; after
+	// the fill it is where p's block ends.
+	next := make([]int, nn+1)
 	for _, p := range t.parent {
 		if p != None {
-			counts[p]++
+			next[p+1]++
+		}
+	}
+	for i := 1; i <= nn; i++ {
+		next[i] += next[i-1]
+	}
+	kids := make([]int, next[nn])
+	for i, p := range t.parent {
+		if p != None {
+			kids[next[p]] = i
+			next[p]++
 		}
 	}
 	t.children = make([][]int, nn)
-	for i, c := range counts {
-		if c > 0 {
-			t.children[i] = make([]int, 0, c)
+	lo := 0
+	for p := 0; p < nn; p++ {
+		if hi := next[p]; hi > lo {
+			t.children[p] = kids[lo:hi:hi]
+			lo = hi
 		}
 	}
-	for i, p := range t.parent {
-		if p != None {
-			t.children[p] = append(t.children[p], i)
-		}
-	}
-	// Topological order by iterative DFS from the root; children before
-	// parents when reversed. Also detects unreachable nodes (cycles).
-	t.order = make([]int, 0, nn)
+	// Topological order by iterative DFS from the root: the reverse
+	// preorder puts children first. Every non-root node is in exactly one
+	// children list, so the DFS reaches each node at most once, and a cycle
+	// shows as nodes it never reaches.
+	t.order = make([]int, nn)
 	if nn == 0 {
 		return nil
 	}
 	stack := make([]int, 0, 64)
 	stack = append(stack, t.root)
-	visited := make([]bool, nn)
-	pre := make([]int, 0, nn)
+	k := nn
 	for len(stack) > 0 {
 		v := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if visited[v] {
-			return fmt.Errorf("%w: node %d reached twice", ErrInvalidTree, v)
-		}
-		visited[v] = true
-		pre = append(pre, v)
+		k--
+		t.order[k] = v
 		stack = append(stack, t.children[v]...)
 	}
-	if len(pre) != nn {
-		return fmt.Errorf("%w: %d of %d nodes unreachable from root (cycle?)", ErrInvalidTree, nn-len(pre), nn)
-	}
-	// Reverse preorder is a valid topological order (children first).
-	for i := nn - 1; i >= 0; i-- {
-		t.order = append(t.order, pre[i])
+	if k != 0 {
+		return fmt.Errorf("%w: %d of %d nodes unreachable from root (cycle?)", ErrInvalidTree, k, nn)
 	}
 	return nil
 }
