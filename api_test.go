@@ -108,17 +108,9 @@ func TestMemCappedFacade(t *testing.T) {
 	}
 }
 
-func TestPartitionedAndPrecomputeCacheFacade(t *testing.T) {
+func TestPrecomputeCacheFacade(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	tr := treesched.RandomTree(rng, 300, treesched.WeightSpec{WMin: 1, WMax: 4, FMin: 1, FMax: 9})
-	s, err := treesched.PartitionedInnerFirst(tr, 4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Validate(tr); err != nil {
-		t.Fatal(err)
-	}
-
 	pcc := treesched.NewPrecomputeCache(1 << 20)
 	pc := treesched.NewPrecompute(tr)
 	if !pcc.Add("k", pc) {

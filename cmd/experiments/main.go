@@ -8,7 +8,6 @@
 //	experiments -memcap                            # E13: memory-cap sweep
 //	experiments -hetero                            # E18: heterogeneous machines
 //	experiments -gap                               # E19: optimality-gap ledger
-//	experiments -partition                         # E20: partitioned-scheduler scaling
 //
 // Outputs: human-readable summaries on stdout; per-figure CSV point clouds
 // and crosses under -out (if set).
@@ -39,11 +38,10 @@ func main() {
 		memcap = flag.Bool("memcap", false, "run only the memory-cap sweep (E13)")
 		hetero = flag.Bool("hetero", false, "run only the heterogeneous-machine study (E18)")
 		gap    = flag.Bool("gap", false, "run only the optimality-gap ledger (E19)")
-		parti  = flag.Bool("partition", false, "run only the partitioned-scheduler scaling study (E20)")
 		byp    = flag.Bool("byp", false, "additionally break Table 1 down per processor count")
 	)
 	flag.Parse()
-	all := !(*table1 || *fig6 || *fig7 || *fig8 || *ablate || *memcap || *hetero || *gap || *parti)
+	all := !(*table1 || *fig6 || *fig7 || *fig8 || *ablate || *memcap || *hetero || *gap)
 
 	sc := dataset.Standard
 	switch *scale {
@@ -137,18 +135,6 @@ func main() {
 	}
 	if all || *gap {
 		runGapStudy(*seed)
-	}
-	if all || *parti {
-		// E20 generates its own trees: the scaling study needs sizes well
-		// past the collection's, up to 10⁶ nodes at standard scale.
-		sizes := []int{10_000, 100_000, 1_000_000}
-		switch *scale {
-		case "quick":
-			sizes = []int{10_000, 100_000}
-		case "full":
-			sizes = append(sizes, 2_000_000)
-		}
-		runPartitionStudy(sizes, *seed)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"os"
 	"runtime"
 	"sort"
+	"strings"
 	"time"
 
 	"treesched/internal/machine"
@@ -29,13 +30,8 @@ import (
 // coreProcs is the machine size every scheduler bench uses.
 const coreProcs = 8
 
-// stressNodes/stressParts size the large-tree stress rows: at 10⁶ nodes
-// the partitioned ParInnerFirst (parts=8) beats the sequential scheduler,
-// and both rows are ratcheted in the baseline.
-const (
-	stressNodes = 1_000_000
-	stressParts = 8
-)
+// stressNodes sizes the large-tree stress row, ratcheted in the baseline.
+const stressNodes = 1_000_000
 
 // CoreEntry is one (bench, family, size) cell.
 type CoreEntry struct {
@@ -165,7 +161,6 @@ func coreMain(scale string, seed int64, machSpec, out, baseline string, maxratio
 				{"OptimalTraversal", func() { traversal.Optimal(t) }},
 				{"ParSubtrees", func() { mustRun(pc.ParSubtrees(coreProcs)) }},
 				{"ParInnerFirst", func() { mustRun(pc.ParInnerFirst(coreProcs)) }},
-				{"ParInnerFirst/partitioned", func() { mustRun(pc.PartitionedInnerFirst(coreProcs, 4)) }},
 				{"ParDeepestFirst", func() { mustRun(pc.ParDeepestFirst(coreProcs)) }},
 				{"Sequential", func() { mustRun(sched.SequentialSchedule(t, pc.Order())) }},
 				{"MemCappedBooking", func() { mustRun(pc.MemCappedBooking(coreProcs, cap2)) }},
@@ -210,34 +205,17 @@ func coreMain(scale string, seed int64, machSpec, out, baseline string, maxratio
 			}
 		}
 	}
-	// Stress rows: one 10⁶-node tree pins the partitioned scheduler's
-	// large-tree win. At this size the heap-driven σ-order loop dominates
-	// sequential ParInnerFirst, and the partitioned path — which fills each
-	// subtree work-package in linear time — must come out ahead. Both rows
-	// are ratcheted so neither the sequential core nor the partitioned win
-	// can regress silently.
+	// Stress row: one 10⁶-node tree, where the heap-driven σ-order loop
+	// dominates ParInnerFirst, so the sequential core cannot regress
+	// silently at production scale.
 	stressT := tree.RandomAttachment(rng, stressNodes, ws)
 	stressPC := sched.NewPrecompute(stressT)
-	var stressNs [2]float64
-	for i, b := range []struct {
-		name string
-		run  func()
-	}{
-		{"ParInnerFirst/stress1M", func() { mustRun(stressPC.ParInnerFirst(coreProcs)) }},
-		{"ParInnerFirst/partitioned/stress1M", func() { mustRun(stressPC.PartitionedInnerFirst(coreProcs, stressParts)) }},
-	} {
-		nsOp, allocsOp := measure(b.run, budget)
-		e := CoreEntry{Bench: b.name, Family: "attachment", Nodes: stressT.Len(), NsOp: nsOp, AllocsOp: allocsOp}
-		if nsOp > 0 {
-			e.OpsPerSec = 1e9 / nsOp
-		}
-		rep.Entries = append(rep.Entries, e)
-		stressNs[i] = nsOp
+	nsOp, allocsOp := measure(func() { mustRun(stressPC.ParInnerFirst(coreProcs)) }, budget)
+	stress := CoreEntry{Bench: "ParInnerFirst/stress1M", Family: "attachment", Nodes: stressT.Len(), NsOp: nsOp, AllocsOp: allocsOp}
+	if nsOp > 0 {
+		stress.OpsPerSec = 1e9 / nsOp
 	}
-	if stressNs[1] > 0 {
-		fmt.Printf("stress 1M nodes: partitioned(parts=%d) %.2fx sequential ParInnerFirst\n",
-			stressParts, stressNs[0]/stressNs[1])
-	}
+	rep.Entries = append(rep.Entries, stress)
 
 	// The observability record paths ride along: they are on every service
 	// request, so they are ratcheted with the scheduling core.
@@ -252,7 +230,7 @@ func coreMain(scale string, seed int64, machSpec, out, baseline string, maxratio
 		writeReport(rep, out)
 	}
 	if baseline != "" {
-		if err := coreGate(rep, baseline, maxratio); err != nil {
+		if err := coreGate(rep, baseline, ownsAll, maxratio); err != nil {
 			fmt.Fprintln(os.Stderr, "treebench: REGRESSION:", err)
 			os.Exit(1)
 		}
@@ -360,9 +338,15 @@ func printCoreReport(rep *CoreReport) {
 	}
 }
 
-// coreGate compares per-bench geomean ns/op and allocs/op plus the
-// aggregate scheduling throughput against the baseline report.
-func coreGate(rep *CoreReport, path string, maxratio float64) error {
+// ownsAll and ownsObs say which baseline rows a run must reproduce: the
+// core suite measures every row, the obs suite only the Obs/* rows.
+func ownsAll(string) bool { return true }
+
+func ownsObs(bench string) bool { return strings.HasPrefix(bench, "Obs/") }
+
+// coreGate reads the baseline report at path and gates rep against it
+// (see compareCore).
+func coreGate(rep *CoreReport, path string, owns func(bench string) bool, maxratio float64) error {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return err
@@ -371,20 +355,44 @@ func coreGate(rep *CoreReport, path string, maxratio float64) error {
 	if err := json.Unmarshal(b, &base); err != nil {
 		return fmt.Errorf("parsing baseline %s: %w", path, err)
 	}
+	if err := compareCore(&base, rep, owns, maxratio); err != nil {
+		return fmt.Errorf("vs baseline %s: %w", path, err)
+	}
+	return nil
+}
+
+// compareCore compares per-bench geomean ns/op and allocs/op plus the
+// aggregate scheduling throughput of rep against base. Every baseline
+// bench the run's suite owns must be present in rep: a renamed or deleted
+// bench fails the gate instead of dropping out of the ratchet. The limits
+// are written as !(x <= limit) so a NaN measurement fails too.
+func compareCore(base, rep *CoreReport, owns func(bench string) bool, maxratio float64) error {
 	if base.Scale != rep.Scale || base.Seed != rep.Seed || base.Processors != rep.Processors {
-		return fmt.Errorf("baseline %s is %s scale seed %d p%d; this run is %s scale seed %d p%d",
-			path, base.Scale, base.Seed, base.Processors, rep.Scale, rep.Seed, rep.Processors)
+		return fmt.Errorf("baseline is %s scale seed %d p%d; this run is %s scale seed %d p%d",
+			base.Scale, base.Seed, base.Processors, rep.Scale, rep.Seed, rep.Processors)
 	}
 	if base.Machine != "" && base.Machine != rep.Machine {
-		return fmt.Errorf("baseline %s benchmarks machine %q; this run used %q", path, base.Machine, rep.Machine)
+		return fmt.Errorf("baseline benchmarks machine %q; this run used %q", base.Machine, rep.Machine)
 	}
-	for bench, baseNs := range base.MeanNsByBench {
-		if ns, ok := rep.MeanNsByBench[bench]; ok && baseNs > 0 && ns > maxratio*baseNs {
-			return fmt.Errorf("%s geomean %.0f ns/op exceeds %g× baseline %.0f", bench, ns, maxratio, baseNs)
+	// fillCoreMeans fills both mean maps for every bench, so the ns keys
+	// name every baseline row.
+	benches := make([]string, 0, len(base.MeanNsByBench))
+	for bench := range base.MeanNsByBench {
+		if owns(bench) {
+			benches = append(benches, bench)
 		}
 	}
-	for bench, baseAllocs := range base.MeanAllocsByBench {
-		if a, ok := rep.MeanAllocsByBench[bench]; ok && a+1 > maxratio*(baseAllocs+1) {
+	sort.Strings(benches)
+	for _, bench := range benches {
+		ns, okNs := rep.MeanNsByBench[bench]
+		a, okAllocs := rep.MeanAllocsByBench[bench]
+		if !okNs || !okAllocs {
+			return fmt.Errorf("baseline bench %s is missing from this run", bench)
+		}
+		if baseNs := base.MeanNsByBench[bench]; baseNs > 0 && !(ns <= maxratio*baseNs) {
+			return fmt.Errorf("%s geomean %.0f ns/op exceeds %g× baseline %.0f", bench, ns, maxratio, baseNs)
+		}
+		if baseAllocs := base.MeanAllocsByBench[bench]; !(a+1 <= maxratio*(baseAllocs+1)) {
 			return fmt.Errorf("%s allocs/op %.2f exceeds %g× baseline %.2f", bench, a, maxratio, baseAllocs)
 		}
 	}

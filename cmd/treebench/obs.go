@@ -142,7 +142,7 @@ func obsMain(scale string, seed int64, machSpec, out, baseline string, maxratio 
 		writeReport(rep, out)
 	}
 	if baseline != "" {
-		if err := coreGate(rep, baseline, maxratio); err != nil {
+		if err := coreGate(rep, baseline, ownsObs, maxratio); err != nil {
 			fmt.Fprintln(os.Stderr, "treebench: REGRESSION:", err)
 			os.Exit(1)
 		}

@@ -9,7 +9,6 @@
 //	treesched -in tree.txt -p 2 -heuristic Exact -budget 500k  # exact branch-and-bound (small trees)
 //	treesched -in tree.txt -machine 2x1.0+2x0.5  # heterogeneous (related) processors
 //	treesched -in tree.txt -p 8 -memcap 2.0      # + memory-capped run at 2×M_seq
-//	treesched -in tree.txt -p 8 -partitions 8    # + partitioned ParInnerFirst row
 //	treesched -in tree.txt -p 8 -portfolio       # race the portfolio, pick min_makespan
 //	treesched -in tree.txt -p 8 -objective makespan_under_memcap:1.5
 //	treesched -in tree.txt -p 8 -portfolio -trace  # print the stage span tree
@@ -49,7 +48,6 @@ func main() {
 		machSpec  = flag.String("machine", "", `machine spec ("4" or "2x1.0+2x0.5" for heterogeneous speeds); overrides -p`)
 		name      = flag.String("heuristic", "all", "heuristic name, 'all', or 'Exact' for the branch-and-bound solver (small trees)")
 		memcap    = flag.Float64("memcap", 0, "if > 0, also run the memory-capped schedulers with cap = memcap × M_seq (with -heuristic Exact: the solver's cap; 0 = no cap)")
-		parts     = flag.Int("partitions", 0, "if > 1, also run ParInnerFirst through the partitioned scheduler with this many subtree work-packages")
 		budget    = flag.String("budget", "", `exact-solver node budget, e.g. "500k" or "2M" (only with -heuristic Exact; empty = default)`)
 		gantt     = flag.Bool("gantt", false, "print an ASCII Gantt chart per heuristic (small trees)")
 		runPort   = flag.Bool("portfolio", false, "race the paper's four heuristics + Sequential concurrently; print the Pareto frontier and the -objective winner")
@@ -162,19 +160,6 @@ func main() {
 			writeTimeline(*timeline, t, s, h.Name, memCapOf(*memcap, memLB))
 			timelineDone = true
 		}
-	}
-	if *parts > 1 {
-		// Extra row, like the -memcap rows below: the partitioned
-		// ParInnerFirst next to the sequential heuristics it approximates.
-		pc := sched.NewPrecompute(t)
-		s, err := pc.PartitionedInnerFirstOn(mach, *parts)
-		if err != nil {
-			fatal(err)
-		}
-		if err := s.Validate(t); err != nil {
-			fatal(fmt.Errorf("partitioned ParInnerFirst produced an invalid schedule: %w", err))
-		}
-		report(w, fmt.Sprintf("ParInnerFirst(parts=%d)", *parts), t, s, msLB, memLB)
 	}
 	if *memcap > 0 {
 		pc := sched.NewPrecompute(t)

@@ -38,7 +38,6 @@ func main() {
 		workers   = flag.Int("workers", 0, "scheduling worker pool size (default GOMAXPROCS)")
 		cacheSize = flag.Int("cache", service.DefaultCacheSize, "LRU result cache entries (negative disables)")
 		pcBytes   = flag.Int64("precompute-cache-bytes", service.DefaultPrecomputeCacheBytes, "byte budget of the cross-request Precompute cache (negative disables)")
-		maxParts  = flag.Int("max-partitions", service.DefaultMaxPartitions, "max partitions field per request")
 		maxBody   = flag.Int64("max-body", service.DefaultMaxBodyBytes, "max request body / batch line bytes")
 		maxNodes  = flag.Int("max-nodes", service.DefaultMaxNodes, "max tree size in nodes")
 		maxProcs  = flag.Int("max-procs", service.DefaultMaxProcs, "max processor count per request")
@@ -92,7 +91,6 @@ func main() {
 		Workers:              *workers,
 		CacheSize:            *cacheSize,
 		PrecomputeCacheBytes: *pcBytes,
-		MaxPartitions:        *maxParts,
 		MaxBodyBytes:         *maxBody,
 		MaxNodes:             *maxNodes,
 		MaxProcs:             *maxProcs,

@@ -44,9 +44,10 @@ type Options struct {
 	// unless sched.IDExact is among the candidates.
 	ExactNodes int64
 	// Trace, when non-nil, records one "candidate:<id>" span per racing
-	// heuristic under TraceParent (obs.RootSpan for top-level spans). The
-	// Exact candidate's span carries its explored-node count as the span
-	// value. A nil Trace costs one nil check per candidate.
+	// heuristic under TraceParent (obs.RootSpan for top-level spans), with
+	// a "schedule" and an "evaluate" child. The Exact candidate's span
+	// carries its explored-node count as the span value. A nil Trace costs
+	// one nil check per span.
 	Trace       *obs.Trace
 	TraceParent int
 }
@@ -169,13 +170,8 @@ func RunPre(ctx context.Context, pc *sched.Precompute, obj Objective, opts Optio
 	ids := opts.Heuristics
 	schedIDs := ids
 	exactStats := make([]exactStat, len(ids))
-	if hasExact(ids) {
-		schedIDs = make([]sched.HeuristicID, 0, len(ids)-1)
-		for _, id := range ids {
-			if id != sched.IDExact {
-				schedIDs = append(schedIDs, id)
-			}
-		}
+	if HasExact(ids) {
+		schedIDs = WithoutExact(ids)
 	}
 	var hs []sched.Heuristic
 	var memSeq int64
@@ -271,13 +267,27 @@ type exactStat struct {
 	memoHits int64
 }
 
-func hasExact(ids []sched.HeuristicID) bool {
+// HasExact reports whether ids selects the Exact pseudo-heuristic.
+func HasExact(ids []sched.HeuristicID) bool {
 	for _, id := range ids {
 		if id == sched.IDExact {
 			return true
 		}
 	}
 	return false
+}
+
+// WithoutExact returns ids with the Exact pseudo-heuristic stripped: the
+// selection sched validates and runs, since Exact is this package's to
+// resolve.
+func WithoutExact(ids []sched.HeuristicID) []sched.HeuristicID {
+	out := make([]sched.HeuristicID, 0, len(ids))
+	for _, id := range ids {
+		if id != sched.IDExact {
+			out = append(out, id)
+		}
+	}
+	return out
 }
 
 // exactHeuristic wraps the branch-and-bound solver as a racing candidate:
@@ -310,8 +320,9 @@ func exactHeuristic(pc *sched.Precompute, memCap, nodes int64, stat *exactStat) 
 // goroutine scheduling. Each candidate is individually recover-protected:
 // a panic in one heuristic costs one Err entry, not the race. With a
 // non-nil trace, each candidate records a "candidate:<id>" span under
-// parent; the returned span ids parallel the candidates (nil without a
-// trace, so untraced races allocate nothing extra).
+// parent, with "schedule" and "evaluate" children; the returned span ids
+// parallel the candidates (nil without a trace, so untraced races allocate
+// nothing extra).
 func race(ctx context.Context, t *tree.Tree, m *machine.Model, hs []sched.Heuristic, parallelism int, tr *obs.Trace, parent int) ([]Candidate, []int) {
 	n := len(hs)
 	if parallelism <= 0 || parallelism > n {
@@ -344,7 +355,7 @@ func race(ctx context.Context, t *tree.Tree, m *machine.Model, hs []sched.Heuris
 			}
 			id := span(i)
 			start := time.Now()
-			runOne(t, m, hs[i], &cands[i])
+			runOne(t, m, hs[i], &cands[i], tr, id)
 			cands[i].Elapsed = time.Since(start)
 			tr.End(id)
 		}
@@ -370,7 +381,7 @@ func race(ctx context.Context, t *tree.Tree, m *machine.Model, hs []sched.Heuris
 			}
 			id := span(i)
 			start := time.Now()
-			runOne(t, m, hs[i], &cands[i])
+			runOne(t, m, hs[i], &cands[i], tr, id)
 			cands[i].Elapsed = time.Since(start)
 			tr.End(id)
 		}(i)
@@ -381,18 +392,24 @@ func race(ctx context.Context, t *tree.Tree, m *machine.Model, hs []sched.Heuris
 
 // runOne executes and measures a single candidate, containing panics.
 // Validation, makespan and peak memory come from one sched.Evaluate pass.
-func runOne(t *tree.Tree, m *machine.Model, h sched.Heuristic, c *Candidate) {
+// The two steps record "schedule" and "evaluate" spans under the
+// candidate's span.
+func runOne(t *tree.Tree, m *machine.Model, h sched.Heuristic, c *Candidate, tr *obs.Trace, span int) {
 	defer func() {
 		if r := recover(); r != nil {
 			c.Err = fmt.Errorf("portfolio: %s panicked: %v", h.Name, r)
 		}
 	}()
+	sid := tr.Start("schedule", span)
 	s, err := h.RunOn(t, m)
+	tr.End(sid)
 	if err != nil {
 		c.Err = err
 		return
 	}
+	eid := tr.Start("evaluate", span)
 	mk, peak, err := sched.Evaluate(t, s)
+	tr.End(eid)
 	if err != nil {
 		c.Err = err
 		return

@@ -314,3 +314,50 @@ func TestRunPreSharedPrecomputeConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestRunTraceSpanShape pins the race's span shape at one lane and at
+// several: one candidate:<id> span per candidate under TraceParent, each
+// with a schedule and an evaluate child, in the same shape either way.
+func TestRunTraceSpanShape(t *testing.T) {
+	tr := portfolioTestTree(t, 12, 60)
+	for _, lanes := range []int{1, 3} {
+		trace := obs.AcquireTrace()
+		res, err := Run(context.Background(), tr, MinMakespan(), Options{
+			Options: sched.Options{Processors: 2}, Parallelism: lanes,
+			Trace: trace, TraceParent: obs.RootSpan,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		root := trace.Tree()
+		trace.Release()
+		if len(root.Spans) != len(res.Candidates) {
+			t.Fatalf("lanes=%d: %d top-level spans for %d candidates", lanes, len(root.Spans), len(res.Candidates))
+		}
+		seen := map[string]bool{}
+		for _, n := range root.Spans {
+			seen[n.Name] = true
+			if len(n.Spans) != 2 || n.Spans[0].Name != "schedule" || n.Spans[1].Name != "evaluate" {
+				t.Errorf("lanes=%d: %s children %+v, want schedule then evaluate", lanes, n.Name, n.Spans)
+			}
+		}
+		for _, c := range res.Candidates {
+			if !seen["candidate:"+c.ID.String()] {
+				t.Errorf("lanes=%d: candidate %s has no span", lanes, c.ID)
+			}
+		}
+	}
+}
+
+func TestExactSelectionHelpers(t *testing.T) {
+	ids := []sched.HeuristicID{sched.IDParSubtrees, sched.IDExact, sched.IDSequential}
+	if !HasExact(ids) || HasExact(ids[:1]) {
+		t.Error("HasExact misreports the selection")
+	}
+	if got := WithoutExact(ids); !reflect.DeepEqual(got, []sched.HeuristicID{sched.IDParSubtrees, sched.IDSequential}) {
+		t.Errorf("WithoutExact = %v", got)
+	}
+	if got := WithoutExact([]sched.HeuristicID{sched.IDExact}); len(got) != 0 {
+		t.Errorf("WithoutExact of an Exact-only selection = %v, want empty", got)
+	}
+}

@@ -181,27 +181,3 @@ func TestAllocsPrecomputeCacheHit(t *testing.T) {
 		t.Errorf("precompute cache hit allocates %.1f/op, want <= 2", got)
 	}
 }
-
-// TestAllocsPartitioned pins the partitioned scheduler's pooling: on a
-// warm pool a run costs the result, the package bookkeeping and the crown
-// stitch (whose quotient tree is rebuilt per call) — bounded well below
-// anything per-node.
-func TestAllocsPartitioned(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are distorted under the race detector")
-	}
-	pc := NewPrecompute(allocTree(7, 5000))
-	for _, parts := range []int{4, 8} {
-		if _, err := pc.PartitionedInnerFirst(8, parts); err != nil { // warm pools
-			t.Fatal(err)
-		}
-		got := testing.AllocsPerRun(20, func() {
-			if _, err := pc.PartitionedInnerFirst(8, parts); err != nil {
-				t.Fatal(err)
-			}
-		})
-		if got > 64 {
-			t.Errorf("partitioned(parts=%d) allocates %.1f/op on a warm pool, want <= 64", parts, got)
-		}
-	}
-}

@@ -151,13 +151,6 @@ type Options struct {
 	// IDMemCappedBooking to MemCapFactor × MemoryLowerBound(t). It must be
 	// >= 1 when a capped heuristic is selected and is ignored otherwise.
 	MemCapFactor float64
-	// Partitions > 1 runs IDParInnerFirst through the partitioned
-	// scheduler (see PartitionedInnerFirst): the tree is decomposed into
-	// up to Partitions independent work-packages scheduled concurrently
-	// and stitched deterministically. 0 or 1 (the default) is the exact
-	// sequential scheduler; the other heuristics ignore it. Capped at the
-	// processor count.
-	Partitions int
 }
 
 // Model resolves the effective machine: Machine when set, else the
@@ -178,9 +171,6 @@ func (o Options) Validate() error {
 		}
 	} else if o.Processors < 1 {
 		return fmt.Errorf("sched: options: processors must be >= 1, got %d", o.Processors)
-	}
-	if o.Partitions < 0 {
-		return fmt.Errorf("sched: options: partitions must be >= 0, got %d", o.Partitions)
 	}
 	for _, id := range o.Heuristics {
 		if !id.Valid() {
@@ -254,16 +244,12 @@ func (o Options) heuristicIDs() []HeuristicID {
 // scheduling with the wrong precompute.
 func (o Options) heuristic(id HeuristicID, pc *Precompute) Heuristic {
 	factor := o.MemCapFactor
-	parts := o.Partitions
 	runOn := func(t *tree.Tree, m *machine.Model) (*Schedule, error) {
 		ctx := pc
 		if ctx == nil {
 			ctx = NewPrecompute(t)
 		} else if t != ctx.t {
 			return nil, fmt.Errorf("sched: heuristic %s was selected for a different tree (SelectFor binds its heuristics to one tree)", id)
-		}
-		if id == IDParInnerFirst && parts > 1 {
-			return ctx.PartitionedInnerFirstOn(m, parts)
 		}
 		return ctx.RunOn(id, m, factor)
 	}

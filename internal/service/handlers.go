@@ -88,10 +88,9 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 }
 
 // handlePortfolio answers POST /v1/portfolio: the same Request shape as
-// /v1/schedule, but the selected heuristics (default: the paper's four
-// plus the Sequential baseline) race concurrently and the Response carries
-// the Pareto frontier and the objective-selected winner. An absent
-// objective defaults to min_makespan.
+// /v1/schedule, but the selection defaults to the paper's four plus the
+// Sequential baseline and the Response carries the Pareto frontier and the
+// objective-selected winner. An absent objective defaults to min_makespan.
 func (s *Server) handlePortfolio(w http.ResponseWriter, r *http.Request) {
 	s.metrics.reqPortfolio.Inc()
 	s.handleOne(w, r, true, epPortfolio, s.metrics.latPortfolio)
@@ -100,11 +99,12 @@ func (s *Server) handlePortfolio(w http.ResponseWriter, r *http.Request) {
 // handleOne is the shared single-request path: the handler goroutine only
 // does I/O; parsing, validation, hashing and scheduling run on the bounded
 // worker pool. With ?trace=1 the response carries the request's span tree
-// in the trace field; with ?timeline=1 it carries the winning schedule as
-// Chrome-trace JSON. Every request is traced into the pooled span recorder
-// regardless — the flight recorder retains the spans of kept requests —
-// and finishes through the shared outcome bookkeeping (latency exemplar,
-// flight record, SLO classification).
+// in the trace field; with ?timeline=1 it carries the winner's schedule
+// (the first successful one on a plain request) as Chrome-trace JSON.
+// Every request is traced into the pooled span recorder regardless — the
+// flight recorder retains the spans of kept requests — and finishes
+// through the shared outcome bookkeeping (latency exemplar, flight record,
+// SLO classification).
 func (s *Server) handleOne(w http.ResponseWriter, r *http.Request, forcePortfolio bool, endpoint string, lat *obs.Histogram) {
 	start := time.Now()
 	rid := s.requestID()
@@ -267,14 +267,21 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if err := sc.Err(); err != nil {
 			// Line framing cannot resync past an oversized or unreadable
 			// line, so the remainder of the batch is dropped; the final
-			// error line says so for clients correlating by position.
+			// error line says so for clients correlating by position. It
+			// carries the id of the line that failed to frame and is
+			// recorded like any other line.
+			lineRid := rid + "." + strconv.FormatInt(lines.Add(1), 10)
+			status, kind := http.StatusBadRequest, errKindDecode
 			if errors.Is(err, bufio.ErrTooLong) {
+				status, kind = http.StatusRequestEntityTooLarge, errKindLimit
 				s.metrics.errLimit.Inc()
 			} else {
 				s.metrics.errDecode.Inc()
 			}
+			resp := &Response{RequestID: lineRid, Error: "batch read: " + err.Error() + " (remaining batch lines dropped)", errKind: kind}
+			s.metrics.recordOutcome(flightInfoFor(lineRid, epBatch, status, 0, resp), nil)
 			ch := make(chan *Response, 1)
-			ch <- &Response{Error: "batch read: " + err.Error() + " (remaining batch lines dropped)"}
+			ch <- resp
 			results <- ch
 		}
 	}()
@@ -307,11 +314,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 // answerLine answers one batch line; it is answerBytes without the HTTP
 // status (batch lines carry errors in the response body, not the status).
-// Portfolio mode is per-line: a line with an objective (or Auto) races,
-// plain lines schedule sequentially. Each line is its own observable
-// request: it gets a derived request id ("<batch-id>.<line>", echoed in
-// the NDJSON result line), its own flight-recorder entry with stage
-// spans, and its own SLO classification against the batch endpoint.
+// Portfolio mode is per-line: a line with an objective (or Auto) gets a
+// frontier and a winner, a plain line only its results. Each line is its
+// own observable request: it gets a derived request id
+// ("<batch-id>.<line>", echoed in the NDJSON result line), its own
+// flight-recorder entry with stage spans, and its own SLO classification
+// against the batch endpoint.
 // arrival is when the reader framed the line; the line's timeout_ms field
 // counts from it.
 func (s *Server) answerLine(ctx context.Context, arrival time.Time, line []byte, lineRid string) *Response {

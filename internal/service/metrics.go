@@ -177,7 +177,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	m.wins = obs.NewCounterVec("treeschedd_portfolio_wins_total",
 		"Portfolio races won, per heuristic.", "heuristic", false)
 	m.candDur = obs.NewHistogramVec("treeschedd_candidate_duration_seconds",
-		"Per-candidate scheduling time inside portfolio races.", "heuristic",
+		"Per-candidate scheduling time (schedule plus evaluate) inside the race of every schedule, portfolio and batch-line job.", "heuristic",
 		1e-9, obs.ExpBuckets(10_000, 4, 14))
 	m.forestRounds = obs.NewCounter("treeschedd_forest_rounds_total",
 		"Event-loop rounds executed by forest runs.")

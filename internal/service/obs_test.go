@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -197,8 +198,9 @@ func TestErrorKinds(t *testing.T) {
 
 // TestTraceOptIn checks the ?trace=1 span tree on both single-request
 // endpoints: present only when asked for, stage spans in place, durations
-// non-negative, and portfolio candidate spans matching the returned
-// candidate set.
+// non-negative, and one span shape for both — a top-level
+// candidate:<id> span per returned result, with schedule and evaluate
+// children.
 func TestTraceOptIn(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer s.Close()
@@ -215,26 +217,18 @@ func TestTraceOptIn(t *testing.T) {
 		t.Fatal(resp.Error)
 	}
 	checkSpanTree(t, resp.Trace, []string{"decode", "hash", "cache", "precompute", "schedule", "evaluate", "encode"})
+	checkCandidateSpans(t, resp)
 
 	presp := decodeResponse(t, postJSON(t, h, "/v1/portfolio?trace=1", Request{Tree: tr, Processors: 2}))
 	if presp.Error != "" {
 		t.Fatal(presp.Error)
 	}
-	checkSpanTree(t, presp.Trace, []string{"decode", "hash", "cache", "schedule", "encode"})
-	// Every candidate that raced must have its own candidate:<id> span, and
-	// every frontier member is a candidate.
-	cands := map[string]bool{}
-	presp.Trace.Walk(func(n *obs.SpanNode, _ int) {
-		if id, ok := strings.CutPrefix(n.Name, "candidate:"); ok {
-			cands[id] = true
-		}
-	})
-	if len(cands) != len(presp.Results) {
-		t.Errorf("candidate spans %v != %d results", cands, len(presp.Results))
-	}
+	checkSpanTree(t, presp.Trace, []string{"decode", "hash", "cache", "schedule", "evaluate", "encode"})
+	checkCandidateSpans(t, presp)
+	// Every frontier member is a candidate.
 	for _, id := range presp.Frontier {
-		if !cands[id.String()] {
-			t.Errorf("frontier member %s has no candidate span in %v", id, cands)
+		if !slices.ContainsFunc(presp.Trace.Spans, func(n *obs.SpanNode) bool { return n.Name == "candidate:"+id.String() }) {
+			t.Errorf("frontier member %s has no candidate span", id)
 		}
 	}
 
@@ -270,6 +264,36 @@ func TestTraceOptIn(t *testing.T) {
 	})
 	if exactVal != wantExplored {
 		t.Errorf("exact candidate span value = %d, want explored count %d", exactVal, wantExplored)
+	}
+}
+
+// checkCandidateSpans asserts resp's trace has exactly one top-level
+// candidate:<id> span per result, each with a schedule and an evaluate
+// child.
+func checkCandidateSpans(t *testing.T, resp Response) {
+	t.Helper()
+	cands := map[string]*obs.SpanNode{}
+	for _, n := range resp.Trace.Spans {
+		if id, ok := strings.CutPrefix(n.Name, "candidate:"); ok {
+			cands[id] = n
+		}
+	}
+	if len(cands) != len(resp.Results) {
+		t.Errorf("%d top-level candidate spans for %d results", len(cands), len(resp.Results))
+	}
+	for _, r := range resp.Results {
+		n, ok := cands[r.Heuristic.String()]
+		if !ok {
+			t.Errorf("result %s has no top-level candidate span", r.Heuristic)
+			continue
+		}
+		var children []string
+		for _, c := range n.Spans {
+			children = append(children, c.Name)
+		}
+		if !slices.Equal(children, []string{"schedule", "evaluate"}) {
+			t.Errorf("candidate:%s children %v, want [schedule evaluate]", r.Heuristic, children)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
+	"strings"
 	"testing"
 
 	"treesched/internal/obs"
@@ -152,11 +153,12 @@ func TestPrecomputeCacheDisabled(t *testing.T) {
 	}
 }
 
-// TestPartitionsWireField checks the partitions request field end to end:
-// accepted and keyed separately from the sequential entry, validated
-// against the server cap, and answering with a valid ParInnerFirst result.
+// TestPartitionsWireField checks the partitions field of the removed
+// partitioned scheduler: 0 and 1 keep meaning the sequential scheduler and
+// share its cache entry, and any other value is a 400 that names the
+// removal, on every scheduling endpoint and batch line.
 func TestPartitionsWireField(t *testing.T) {
-	s := New(Config{Workers: 2, MaxPartitions: 8})
+	s := New(Config{Workers: 2})
 	defer s.Close()
 	h := s.Handler()
 	tr := testTree(t, 24, 200)
@@ -166,20 +168,6 @@ func TestPartitionsWireField(t *testing.T) {
 	if seq.Error != "" {
 		t.Fatal(seq.Error)
 	}
-	part := decodeResponse(t, postJSON(t, h, "/v1/schedule",
-		Request{Tree: tr, Processors: 4, Heuristics: ids, Partitions: 4}))
-	if part.Error != "" {
-		t.Fatal(part.Error)
-	}
-	if part.Cached {
-		t.Fatal("partitions=4 aliased the sequential cache entry")
-	}
-	if r := part.Results[0]; r.Error != "" || r.Makespan <= 0 || r.PeakMemory <= 0 {
-		t.Fatalf("partitioned result not runnable: %+v", r)
-	}
-
-	// partitions 1 is the sequential scheduler: same cache entry, same
-	// answer.
 	one := decodeResponse(t, postJSON(t, h, "/v1/schedule",
 		Request{Tree: tr, Processors: 4, Heuristics: ids, Partitions: 1}))
 	if !one.Cached {
@@ -189,21 +177,17 @@ func TestPartitionsWireField(t *testing.T) {
 		t.Errorf("partitions=1 makespan %g != sequential %g", one.Results[0].Makespan, seq.Results[0].Makespan)
 	}
 
-	// A repeat of the partitioned request hits its own entry.
-	again := decodeResponse(t, postJSON(t, h, "/v1/schedule",
-		Request{Tree: tr, Processors: 4, Heuristics: ids, Partitions: 4}))
-	if !again.Cached || again.Results[0].Makespan != part.Results[0].Makespan {
-		t.Errorf("partitioned repeat: cached=%v makespan %g, want cached repeat of %g",
-			again.Cached, again.Results[0].Makespan, part.Results[0].Makespan)
-	}
-
-	// Validation: negative and over-cap partition counts are rejected
-	// before any scheduling.
-	for _, bad := range []int{-1, 9} {
-		rec := postJSON(t, h, "/v1/schedule", Request{Tree: tr, Processors: 4, Partitions: bad})
-		if rec.Code != http.StatusBadRequest {
-			t.Errorf("partitions=%d answered %d, want 400", bad, rec.Code)
+	for _, bad := range []int{-1, 2, 8, 64} {
+		for _, path := range []string{"/v1/schedule", "/v1/portfolio"} {
+			rec := postJSON(t, h, path, Request{Tree: tr, Processors: 4, Partitions: bad})
+			if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "removed") {
+				t.Errorf("%s partitions=%d answered %d %s, want 400 naming the removal", path, bad, rec.Code, rec.Body.String())
+			}
 		}
+	}
+	rec := post(t, h, "/v1/schedule/batch", mustJSON(t, Request{ID: "b", Tree: tr, Processors: 4, Partitions: 8}))
+	if resp := decodeResponse(t, rec); resp.ID != "b" || !strings.Contains(resp.Error, "removed") {
+		t.Errorf("batch line with partitions=8 answered %+v, want an error naming the removal", resp)
 	}
 }
 

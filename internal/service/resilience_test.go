@@ -366,6 +366,14 @@ func TestDegradationLadder(t *testing.T) {
 	if got := sampleValue(samples, `treeschedd_degraded_total{action="portfolio_single"}`); got != "1" {
 		t.Errorf(`degraded_total{action="portfolio_single"} = %s, want 1`, got)
 	}
+
+	// The ladder trims objective races only: a plain request races all of
+	// its heuristics at any level.
+	plain := decodeResponse(t, postJSON(t, h, "/v1/schedule", Request{Tree: tr3, Processors: 2}))
+	if plain.Error != "" || len(plain.Results) != len(sched.PaperHeuristics()) || len(plain.Degraded) != 0 {
+		t.Errorf("plain request under DegradeSingle: %d results, degraded %v, error %q; want the paper's four, undegraded",
+			len(plain.Results), plain.Degraded, plain.Error)
+	}
 }
 
 // TestBreakerSkipsExact trips the Exact candidate's circuit breaker and

@@ -38,7 +38,10 @@
 //
 // Scheduling is CPU-bound, so all scheduling work runs on a bounded worker
 // pool (Config.Workers goroutines) rather than on the unbounded HTTP
-// handler goroutines; the pool applies backpressure when saturated.
+// handler goroutines; the pool applies backpressure when saturated. Every
+// job, plain or portfolio, races its heuristics through portfolio.RunPre
+// on its worker plus whatever extra lanes the server-wide race budget
+// (GOMAXPROCS slots) has free.
 // Results are cached in an LRU keyed by the tree's canonical hash plus all
 // scheduling parameters, so a repeated submission is answered without
 // rescheduling. Requests are size-limited (Config.MaxBodyBytes,
@@ -92,11 +95,6 @@ const (
 	// ones; entries are admission-weighted so one giant tree cannot flush
 	// the working set.
 	DefaultPrecomputeCacheBytes = 64 << 20
-	// DefaultMaxPartitions caps the wire-level partitions field: the
-	// partitioned scheduler caps partitions at p anyway, and a server-side
-	// ceiling keeps hostile requests from forcing degenerate
-	// decompositions.
-	DefaultMaxPartitions = 64
 	// DefaultExactNodes is the per-request node budget of the Exact
 	// portfolio candidate: large enough to prove optimality on
 	// oracle-sized trees, small enough that a pool worker answers in
@@ -153,9 +151,6 @@ type Config struct {
 	// machine spec). 0 means DefaultPrecomputeCacheBytes; negative
 	// disables it.
 	PrecomputeCacheBytes int64
-	// MaxPartitions rejects requests whose partitions field exceeds this.
-	// Default: DefaultMaxPartitions.
-	MaxPartitions int
 	// MaxBodyBytes limits the size of a single request body, of each
 	// line of a batch, and of a whole /v1/forest trace.
 	// Default: DefaultMaxBodyBytes.
@@ -237,9 +232,6 @@ func (c Config) withDefaults() Config {
 	if c.PrecomputeCacheBytes == 0 {
 		c.PrecomputeCacheBytes = DefaultPrecomputeCacheBytes
 	}
-	if c.MaxPartitions <= 0 {
-		c.MaxPartitions = DefaultMaxPartitions
-	}
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = DefaultMaxBodyBytes
 	}
@@ -303,11 +295,12 @@ type Server struct {
 	mux     *http.ServeMux
 	started time.Time
 	reqSeq  atomic.Uint64 // request-id source
-	// raceSlots is the process-wide budget of extra goroutines portfolio
-	// races may add on top of their pool worker. Each portfolio job grabs
-	// as many free slots as it can use without blocking, so an idle server
-	// races at full width while a saturated one degrades to sequential
-	// sweeps instead of stacking GOMAXPROCS goroutines per worker.
+	// raceSlots is the process-wide budget of extra goroutines a job's
+	// race may add on top of its pool worker. Every schedule, portfolio
+	// and batch-line job grabs as many free slots as it can use without
+	// blocking, so an idle server races at full width while a saturated
+	// one degrades to sequential sweeps instead of stacking GOMAXPROCS
+	// goroutines per worker.
 	raceSlots chan struct{}
 	// adm, ladder and breaker are the overload controls (see the package
 	// doc's Overload behavior section). ladder is nil when the degradation

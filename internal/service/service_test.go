@@ -18,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"treesched/internal/obs"
 	"treesched/internal/portfolio"
 	"treesched/internal/sched"
 	"treesched/internal/tree"
@@ -477,6 +478,21 @@ func TestBatchEnforcesLineLimit(t *testing.T) {
 	}
 	if !strings.Contains(out[2].Error, "token too long") {
 		t.Errorf("oversized line not rejected: %+v", out[2])
+	}
+	// The stream-ending line carries the id of the line that failed to
+	// frame, and the flight recorder holds it as a limit error.
+	wantRid := rec.Header().Get("X-Request-Id") + ".3"
+	if out[2].RequestID != wantRid {
+		t.Errorf("framing-error line request_id = %q, want %q", out[2].RequestID, wantRid)
+	}
+	var framed *obs.FlightEntry
+	for _, e := range s.metrics.flight.Snapshot() {
+		if e.RequestID == wantRid {
+			framed = &e
+		}
+	}
+	if framed == nil || framed.Endpoint != epBatch || framed.ErrorKind != errKindLimit {
+		t.Errorf("framing-error line's flight entry = %+v, want a %s entry of kind %s", framed, epBatch, errKindLimit)
 	}
 }
 

@@ -52,19 +52,16 @@ type Request struct {
 	// MemCapFactor × M_seq. Required (>= 1) iff a capped heuristic is
 	// selected.
 	MemCapFactor float64 `json:"mem_cap_factor,omitempty"`
-	// Partitions > 1 runs the ParInnerFirst heuristic through the
-	// partitioned scheduler: the tree is decomposed into up to Partitions
-	// independent subtree work-packages scheduled concurrently and
-	// stitched deterministically. 0 and 1 select the exact sequential
-	// scheduler; other heuristics ignore the field. Capped server-side by
-	// Config.MaxPartitions.
+	// Partitions is the field of the removed partitioned ParInnerFirst
+	// scheduler. 0 and 1 keep meaning the sequential scheduler; any other
+	// value is rejected with 400.
 	Partitions int `json:"partitions,omitempty"`
-	// Objective switches the request into portfolio mode: the selected
-	// heuristics race concurrently and the response carries the Pareto
-	// frontier plus the winner under this objective ("min_makespan",
-	// "min_memory", "makespan_under_memcap:F", "memory_under_deadline:D",
-	// "weighted:A"). Optional on /v1/schedule and batch lines; defaults to
-	// min_makespan on /v1/portfolio and when Auto is selected.
+	// Objective switches the request into portfolio mode: the response
+	// carries the Pareto frontier of the race plus the winner under this
+	// objective ("min_makespan", "min_memory", "makespan_under_memcap:F",
+	// "memory_under_deadline:D", "weighted:A"). Optional on /v1/schedule
+	// and batch lines; defaults to min_makespan on /v1/portfolio and when
+	// Auto is selected.
 	Objective *portfolio.Objective `json:"objective,omitempty"`
 	// TimeoutMS tightens this request's time budget to the given number of
 	// milliseconds from arrival. It can only shorten the budget the server
@@ -137,10 +134,11 @@ type Response struct {
 	// request opted in via ?trace=1 (or treesched -trace). Traces are
 	// never cached: a cache hit reports the hit's own spans.
 	Trace *obs.SpanNode `json:"trace,omitempty"`
-	// Timeline is the winning (or only) schedule rendered as Chrome
-	// Trace Event Format JSON, present only with ?timeline=1. Open it in
-	// Perfetto (ui.perfetto.dev) or chrome://tracing. Timeline responses
-	// bypass the cache: the timeline is rebuilt per request.
+	// Timeline is the winner's schedule (the first successful one on a
+	// plain request) rendered as Chrome Trace Event Format JSON, present
+	// only with ?timeline=1. Open it in Perfetto (ui.perfetto.dev) or
+	// chrome://tracing. Timeline responses bypass the cache: the timeline
+	// is rebuilt per request.
 	Timeline json.RawMessage `json:"timeline,omitempty"`
 	// Degraded names the quality reductions overload protection applied to
 	// this answer, in the order they were taken: "portfolio_top3" or
@@ -200,8 +198,8 @@ func errorClass(err error) (status int, kind string) {
 
 // job is a validated, runnable request: the parsed tree plus the resolved
 // scheduling options and the cache key identifying the result. A non-nil
-// objective marks a portfolio job (heuristics race concurrently; the
-// response carries the frontier and the winner).
+// objective marks a portfolio job (the response carries the frontier and
+// the winner).
 type job struct {
 	req       Request
 	tree      *tree.Tree
@@ -221,8 +219,8 @@ type job struct {
 	// trace is the request's span recorder (always pooled, never nil on
 	// the worker path — the flight recorder retains its spans).
 	trace *obs.Trace
-	// timeline requests a Chrome-trace rendering of the winning
-	// schedule; such jobs bypass the response cache.
+	// timeline requests a Chrome-trace rendering of the winner's (or the
+	// first successful) schedule; such jobs bypass the response cache.
 	timeline bool
 }
 
@@ -285,11 +283,8 @@ func (s *Server) prepare(req Request, t *tree.Tree, forcePortfolio bool, tr *obs
 	if p > s.cfg.MaxProcs {
 		return nil, badRequest("p=%d exceeds limit %d", p, s.cfg.MaxProcs)
 	}
-	if req.Partitions < 0 {
-		return nil, badRequest("partitions must be >= 0, got %d", req.Partitions)
-	}
-	if req.Partitions > s.cfg.MaxPartitions {
-		return nil, badRequest("partitions=%d exceeds limit %d", req.Partitions, s.cfg.MaxPartitions)
+	if req.Partitions != 0 && req.Partitions != 1 {
+		return nil, badRequest("partitions=%d: the partitioned scheduler was removed; omit the field (0 and 1 select the sequential scheduler)", req.Partitions)
 	}
 	ids, obj, err := resolveSelection(req.Heuristics, req.Objective, forcePortfolio)
 	if err != nil {
@@ -300,15 +295,14 @@ func (s *Server) prepare(req Request, t *tree.Tree, forcePortfolio bool, tr *obs
 		Machine:      mm,
 		Heuristics:   ids,
 		MemCapFactor: req.MemCapFactor,
-		Partitions:   req.Partitions,
 	}
 	// The Exact pseudo-heuristic is resolved by the portfolio layer, so
 	// validation sees the selection exactly as that layer will: with
 	// Exact stripped. resolveSelection guarantees obj != nil whenever
-	// Exact is selected, so the plain path never has to run it.
+	// Exact is selected, so a plain job never races it.
 	vopts := opts
 	if obj != nil {
-		vopts.Heuristics = withoutExact(opts.Heuristics)
+		vopts.Heuristics = portfolio.WithoutExact(opts.Heuristics)
 	}
 	if err := vopts.Validate(); err != nil {
 		return nil, badRequest("%v", err)
@@ -351,21 +345,13 @@ func (s *Server) precomputeFor(j *job, tr *obs.Trace) *sched.Precompute {
 	return pc
 }
 
-// hasExact reports whether ids selects the Exact pseudo-heuristic.
-func hasExact(ids []sched.HeuristicID) bool {
-	for _, id := range ids {
-		if id == sched.IDExact {
-			return true
-		}
-	}
-	return false
-}
-
 // resolveSelection turns the wire-level heuristic selection into a
 // runnable one: the Auto pseudo-heuristic expands in place into the
 // default portfolio candidates (deduplicated), and an objective — explicit,
-// implied by Auto, or forced by the /v1/portfolio endpoint — switches the
-// job into portfolio mode with min_makespan as the default policy.
+// implied by Auto or Exact, or forced by the /v1/portfolio endpoint —
+// switches the job into portfolio mode with min_makespan as the default
+// policy. An empty selection becomes the default portfolio candidates in
+// portfolio mode and the paper's four heuristics otherwise.
 func resolveSelection(ids []sched.HeuristicID, obj *portfolio.Objective, forcePortfolio bool) ([]sched.HeuristicID, *portfolio.Objective, error) {
 	hasAuto, hasExact := false, false
 	for _, id := range ids {
@@ -406,8 +392,12 @@ func resolveSelection(ids []sched.HeuristicID, obj *portfolio.Objective, forcePo
 		def := portfolio.MinMakespan()
 		obj = &def
 	}
-	if obj != nil && len(ids) == 0 {
-		ids = portfolio.DefaultCandidates()
+	if len(ids) == 0 {
+		if obj != nil {
+			ids = portfolio.DefaultCandidates()
+		} else {
+			ids = sched.PaperHeuristics()
+		}
 	}
 	return ids, obj, nil
 }
@@ -424,9 +414,6 @@ func cacheKey(treeHash string, opts sched.Options, obj *portfolio.Objective) str
 		fmt.Fprintf(&b, "|m=%s", opts.Machine.Spec())
 	}
 	ids := opts.Heuristics
-	if len(ids) == 0 {
-		ids = sched.PaperHeuristics()
-	}
 	b.WriteString("|h=")
 	for i, id := range ids {
 		if i > 0 {
@@ -436,12 +423,6 @@ func cacheKey(treeHash string, opts sched.Options, obj *portfolio.Objective) str
 	}
 	if needsCapFactor(ids) {
 		fmt.Fprintf(&b, "|cap=%g", opts.MemCapFactor)
-	}
-	// Partitions 0 and 1 are the exact sequential scheduler, so they share
-	// the unpartitioned entry; higher counts produce different (valid)
-	// schedules and must not alias it.
-	if opts.Partitions > 1 {
-		fmt.Fprintf(&b, "|parts=%d", opts.Partitions)
 	}
 	if obj != nil {
 		b.WriteString("|obj=")
@@ -459,18 +440,6 @@ func needsCapFactor(ids []sched.HeuristicID) bool {
 		}
 	}
 	return false
-}
-
-// withoutExact strips the Exact pseudo-heuristic from a selection,
-// mirroring what portfolio.RunPre does before sched validation.
-func withoutExact(ids []sched.HeuristicID) []sched.HeuristicID {
-	out := make([]sched.HeuristicID, 0, len(ids))
-	for _, id := range ids {
-		if id != sched.IDExact {
-			out = append(out, id)
-		}
-	}
-	return out
 }
 
 // topCandidates is the degradation ladder's trim: the first n non-Exact
@@ -537,132 +506,26 @@ func (s *Server) safeRun(ctx context.Context, j *job) (resp *Response) {
 	return s.run(ctx, j)
 }
 
-// run schedules the job's tree with every selected heuristic. It always
-// produces results in selection order, so responses are deterministic.
+// run answers a job: its heuristics race through portfolio.RunPre, and the
+// response carries every candidate in selection order, so responses are
+// deterministic however wide the race ran. A job with an objective also
+// gets the Pareto frontier and the objective-selected winner; a plain job
+// is a race that selects nothing. Racing adds goroutines beyond the calling
+// pool worker, but the extra width comes from the server-wide raceSlots
+// budget (GOMAXPROCS slots shared by all jobs), so concurrent requests on a
+// saturated pool degrade toward sequential sweeps instead of stacking
+// GOMAXPROCS goroutines per worker.
 func (s *Server) run(ctx context.Context, j *job) *Response {
-	if j.objective != nil {
-		return s.runPortfolio(ctx, j)
-	}
-	m := j.opts.Model()
-	tr := j.trace
-	// precomputeFor resolves the request's sched.Precompute — from the
-	// cross-request cache on repeat trees, built on this worker otherwise:
-	// every heuristic below shares the same traversal, depths and priority
-	// rankings (and the pooled scheduler scratch is recycled across
-	// requests), so per-request CPU is at most one Liu DP plus the
-	// schedules themselves, and zero DPs on a cache hit. A hit's context
-	// may be bound to a canonically-equal copy of the request's tree, so
-	// everything below schedules pc's tree — the same aliasing the
-	// response cache already performs on the canonical hash.
-	pc := s.precomputeFor(j, tr)
-	t := pc.Tree()
-	hs, memSeq, err := j.opts.SelectPre(pc)
-	if err != nil { // unreachable: prepare validated the options
-		return &Response{ID: j.req.ID, Error: err.Error()}
-	}
-	bounds := Bounds{
-		MakespanLB: sched.MakespanLowerBoundOn(t, m),
-		MemorySeq:  memSeq,
-	}
-	resp := &Response{
-		ID:         j.req.ID,
-		TreeHash:   j.treeHash,
-		Nodes:      t.Len(),
-		Processors: m.P(),
-		Bounds:     &bounds,
-		Results:    make([]HeuristicResult, 0, len(hs)),
-	}
-	if !m.IsUniform() {
-		resp.Machine = m.Spec()
-	}
-	for _, h := range hs {
-		// Stage boundary: a request whose time budget ran out mid-sweep
-		// stops here instead of finishing work nobody will wait for.
-		if ctx.Err() != nil {
-			_, eresp := s.ctxErrResponse(ctx, j.req.ID)
-			return eresp
-		}
-		hr := HeuristicResult{Heuristic: h.ID}
-		cid := obs.RootSpan
-		if tr != nil {
-			cid = tr.Start("candidate:"+h.ID.String(), obs.RootSpan)
-		}
-		sid := tr.Start("schedule", cid)
-		sc, err := h.RunOn(t, m)
-		tr.End(sid)
-		var mk float64
-		var peak int64
-		if err == nil {
-			// One pooled pass validates and measures the schedule.
-			eid := tr.Start("evaluate", cid)
-			mk, peak, err = sched.Evaluate(t, sc)
-			tr.End(eid)
-		}
-		tr.End(cid)
-		if err != nil {
-			hr.Error = err.Error()
-		} else {
-			hr.Makespan = mk
-			hr.PeakMemory = peak
-			s.metrics.peakMemory.Observe(peak)
-			if bounds.MakespanLB > 0 {
-				hr.MakespanRatio = hr.Makespan / bounds.MakespanLB
-			}
-			if bounds.MemorySeq > 0 {
-				hr.MemoryRatio = float64(hr.PeakMemory) / float64(bounds.MemorySeq)
-			}
-			// The first successful schedule is the one the timeline shows;
-			// it is rendered here, before the next heuristic can recycle
-			// the pooled schedule scratch.
-			if j.timeline && resp.Timeline == nil {
-				resp.Timeline = renderTimeline(t, sc, h.ID.String(), memCapOf(j.opts.MemCapFactor, memSeq))
-			}
-		}
-		resp.Results = append(resp.Results, hr)
-	}
-	return resp
-}
-
-// memCapOf resolves the memory-counter cap series of a timeline: the
-// capped heuristics' budget factor × M_seq, or 0 (no cap series) when the
-// request ran uncapped.
-func memCapOf(factor float64, memSeq int64) int64 {
-	if factor <= 0 {
-		return 0
-	}
-	return int64(factor * float64(memSeq))
-}
-
-// renderTimeline renders sc as Chrome Trace Event Format JSON for the
-// Response.Timeline field. A rendering failure drops the timeline rather
-// than the response.
-func renderTimeline(t *tree.Tree, sc *sched.Schedule, name string, memCap int64) json.RawMessage {
-	var buf bytes.Buffer
-	if err := sched.WriteChromeTrace(&buf, t, sc, sched.ChromeTraceOptions{Name: name, MemCap: memCap}); err != nil {
-		return nil
-	}
-	return buf.Bytes()
-}
-
-// runPortfolio answers a portfolio-mode job: the selected heuristics race
-// concurrently, and the response carries every candidate, the Pareto
-// frontier and the objective-selected winner. Racing adds goroutines
-// beyond the calling pool worker — that is the endpoint's latency win —
-// but the extra width comes from the server-wide raceSlots budget
-// (GOMAXPROCS slots shared by all portfolio jobs), so concurrent
-// portfolio requests on a saturated pool degrade toward sequential
-// sweeps instead of stacking GOMAXPROCS goroutines per worker.
-func (s *Server) runPortfolio(ctx context.Context, j *job) *Response {
 	// Overload degradation, applied before any scheduling work. The ladder
-	// trims the race width; the circuit breaker skips the Exact candidate
-	// while proofs keep exhausting their budget; a short remaining time
-	// budget shrinks the Exact node budget so the search fits the
-	// deadline. Each action is named in the response's degraded field, and
-	// degraded responses are never cached (answerJob), so the cache stays
-	// canonical.
+	// trims an objective race's width (a plain job keeps its selection); the
+	// circuit breaker skips the Exact candidate while proofs keep exhausting
+	// their budget; a short remaining time budget shrinks the Exact node
+	// budget so the search fits the deadline. Each action is named in the
+	// response's degraded field, and degraded responses are never cached
+	// (answerJob), so the cache stays canonical.
 	opts := j.opts
 	var degraded []string
-	if s.ladder != nil {
+	if s.ladder != nil && j.objective != nil {
 		switch s.ladder.Level() {
 		case resilience.DegradeTop3:
 			if trimmed := topCandidates(opts.Heuristics, 3); len(trimmed) < len(opts.Heuristics) {
@@ -680,11 +543,11 @@ func (s *Server) runPortfolio(ctx context.Context, j *job) *Response {
 	}
 	exactNodes := s.cfg.ExactNodes
 	exactGuarded := false
-	if hasExact(opts.Heuristics) {
+	if portfolio.HasExact(opts.Heuristics) {
 		// Only strip Exact while other candidates remain: with Exact as
 		// the sole selection, skipping it would answer nothing.
 		if len(opts.Heuristics) > 1 && !s.breaker.Allow(time.Now().UnixNano()) {
-			opts.Heuristics = withoutExact(opts.Heuristics)
+			opts.Heuristics = portfolio.WithoutExact(opts.Heuristics)
 			degraded = append(degraded, "exact_breaker")
 			s.metrics.degBreaker.Inc()
 		} else {
@@ -718,14 +581,23 @@ acquire:
 			<-s.raceSlots
 		}
 	}()
+	// precomputeFor resolves the request's sched.Precompute — from the
+	// cross-request cache on repeat trees, built on this worker otherwise —
+	// so every candidate shares one traversal, depths and priority rankings,
+	// and a hit costs zero Liu DPs. A hit's context may be bound to a
+	// canonically-equal copy of the request's tree, so everything below
+	// schedules pc's tree: the same aliasing the response cache performs on
+	// the canonical hash.
 	tr := j.trace
 	pc := s.precomputeFor(j, tr)
-	sid := tr.Start("schedule", obs.RootSpan)
-	res, err := portfolio.RunPre(ctx, pc, *j.objective, portfolio.Options{
+	var obj portfolio.Objective // a plain job's race ignores its selection
+	if j.objective != nil {
+		obj = *j.objective
+	}
+	res, err := portfolio.RunPre(ctx, pc, obj, portfolio.Options{
 		Options: opts, Parallelism: lanes, ExactNodes: exactNodes,
-		Trace: tr, TraceParent: sid,
+		Trace: tr, TraceParent: obs.RootSpan,
 	})
-	tr.End(sid)
 	if exactGuarded {
 		// An Exact run that proved optimality is a breaker success; a
 		// budget exhaustion, failure, or a race that died before Exact
@@ -757,15 +629,14 @@ acquire:
 		Nodes:      j.tree.Len(),
 		Processors: res.Processors,
 		Bounds:     &Bounds{MakespanLB: res.MakespanLB, MemorySeq: res.MemorySeq},
-		Objective:  j.objective,
 		Results:    make([]HeuristicResult, 0, len(res.Candidates)),
-		Frontier:   make([]sched.HeuristicID, 0, len(res.Frontier)),
 		Degraded:   degraded,
 	}
 	if res.Machine != nil {
 		resp.Machine = res.Machine.Spec()
 	}
-	for _, c := range res.Candidates {
+	shown := -1 // the candidate a timeline renders
+	for i, c := range res.Candidates {
 		hr := HeuristicResult{Heuristic: c.ID, Proven: c.Proven,
 			ExploredNodes: c.Explored, PrunedNodes: c.Pruned, MemoHits: c.MemoHits}
 		if c.Err != nil {
@@ -777,34 +648,61 @@ acquire:
 			hr.MemoryRatio = c.MemoryRatio
 			s.metrics.peakMemory.Observe(c.PeakMemory)
 			s.metrics.candDur.With(c.ID.String()).Observe(c.Elapsed.Nanoseconds())
+			if shown < 0 {
+				shown = i
+			}
 		}
 		resp.Results = append(resp.Results, hr)
 	}
-	for _, i := range res.Frontier {
-		resp.Frontier = append(resp.Frontier, res.Candidates[i].ID)
-	}
-	if w, ok := res.WinnerCandidate(); ok {
-		id := w.ID
-		resp.Winner = &id
-		s.metrics.wins.With(id.String()).Inc()
-		// The race only keeps candidate metrics, so a timeline re-runs the
-		// winner deterministically. Exact's schedule is not re-derivable
-		// through the heuristic interface; its timeline is omitted.
-		if j.timeline && id != sched.IDExact {
-			topts := j.opts
-			topts.Heuristics = []sched.HeuristicID{id}
-			// The selection is bound to pc's tree (a canonically-equal copy
-			// of the request's on a Precompute-cache hit), so the re-run and
-			// the rendering use that tree too.
-			if hs, _, err := topts.SelectPre(pc); err == nil {
-				if sc, err := hs[0].RunOn(pc.Tree(), topts.Model()); err == nil {
-					resp.Timeline = renderTimeline(pc.Tree(), sc, id.String(),
-						memCapOf(j.opts.MemCapFactor, res.MemorySeq))
-				}
-			}
+	if j.objective != nil {
+		resp.Objective = j.objective
+		resp.Frontier = make([]sched.HeuristicID, 0, len(res.Frontier))
+		for _, i := range res.Frontier {
+			resp.Frontier = append(resp.Frontier, res.Candidates[i].ID)
+		}
+		shown = res.Winner
+		if w, ok := res.WinnerCandidate(); ok {
+			id := w.ID
+			resp.Winner = &id
+			s.metrics.wins.With(id.String()).Inc()
 		}
 	}
+	if j.timeline && shown >= 0 {
+		resp.Timeline = renderTimeline(pc, j.opts, res.Candidates[shown].ID, res.MemorySeq)
+	}
 	return resp
+}
+
+// renderTimeline renders candidate id's schedule as Chrome Trace Event
+// Format JSON for the Response.Timeline field, with the capped
+// heuristics' budget (factor × M_seq) as the memory counter's cap series.
+// The race only keeps candidate metrics, so the candidate is re-run
+// deterministically on pc's tree (a canonically-equal copy of the
+// request's on a Precompute-cache hit). Exact's schedule is not
+// re-derivable through the heuristic interface, so its timeline is
+// omitted, and a failure drops the timeline rather than the response.
+func renderTimeline(pc *sched.Precompute, opts sched.Options, id sched.HeuristicID, memSeq int64) json.RawMessage {
+	if id == sched.IDExact {
+		return nil
+	}
+	opts.Heuristics = []sched.HeuristicID{id}
+	hs, _, err := opts.SelectPre(pc)
+	if err != nil {
+		return nil
+	}
+	sc, err := hs[0].RunOn(pc.Tree(), opts.Model())
+	if err != nil {
+		return nil
+	}
+	var memCap int64
+	if opts.MemCapFactor > 0 {
+		memCap = int64(opts.MemCapFactor * float64(memSeq))
+	}
+	var buf bytes.Buffer
+	if err := sched.WriteChromeTrace(&buf, pc.Tree(), sc, sched.ChromeTraceOptions{Name: id.String(), MemCap: memCap}); err != nil {
+		return nil
+	}
+	return buf.Bytes()
 }
 
 // cached returns a personalized copy of j's cached response, counting the

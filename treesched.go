@@ -212,19 +212,6 @@ type Precompute = sched.Precompute
 // amortized across every schedule subsequently produced from it.
 func NewPrecompute(t *Tree) *Precompute { return sched.NewPrecompute(t) }
 
-// PartitionedInnerFirst is the throughput tier of ParInnerFirst for huge
-// trees (~10⁶ nodes): it cuts t at the σ-front into partitions independent
-// subtree work-packages, fills each package's schedule in linear time
-// without the global rank heap, and stitches the results
-// deterministically. Several times faster to construct than ParInnerFirst
-// at partitions ≥ 8, at the price of a worse makespan (the packages do
-// not interleave); see EXPERIMENTS.md E20. partitions ≤ 1 is sequential
-// ParInnerFirst. Reuse the Precompute method when scheduling the same
-// tree repeatedly.
-func PartitionedInnerFirst(t *Tree, p, partitions int) (*Schedule, error) {
-	return sched.NewPrecompute(t).PartitionedInnerFirst(p, partitions)
-}
-
 // PrecomputeCache is a size-aware LRU for sharing Precompute contexts
 // across requests, with weighted admission: entries above 1/8 of the byte
 // budget must be offered twice before they displace the resident working
