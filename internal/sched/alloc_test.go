@@ -17,9 +17,10 @@ func allocTree(seed int64, n int) *tree.Tree {
 	return tree.RandomAttachment(rng, n, ws)
 }
 
-// TestAllocsListSchedule pins the pooling contract of the list scheduler:
-// on a warm pool and a warm Precompute, a schedule costs only its result
-// (the Schedule struct and its two slices) — at most 5 allocations.
+// TestAllocsListSchedule pins the pooling contract of the list scheduler
+// through ParInnerFirst: on a warm pool and a warm Precompute, a schedule
+// costs only its result (the Schedule struct and its two slices) — at most
+// 5 allocations.
 func TestAllocsListSchedule(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under the race detector")
@@ -35,7 +36,7 @@ func TestAllocsListSchedule(t *testing.T) {
 		}
 	})
 	if got > 5 {
-		t.Errorf("ListSchedule allocates %.1f/op on a warm pool, want <= 5", got)
+		t.Errorf("ParInnerFirst allocates %.1f/op on a warm pool, want <= 5", got)
 	}
 }
 

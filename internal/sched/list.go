@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"treesched/internal/machine"
@@ -153,7 +152,7 @@ func (h *finishHeap) reset() {
 }
 
 // schedScratch is the reusable working set of the event-driven schedulers
-// (ListSchedule, MemCapped, MemCappedBooking), recycled across requests
+// (listScheduleRank, MemCapped, MemCappedBooking), recycled across requests
 // via schedPool; the processor free-set lives in the machine.State pool.
 // Only the returned Schedule is allocated per call.
 type schedScratch struct {
@@ -193,45 +192,6 @@ func (sc *schedScratch) ensureFlags(n int) {
 	clear(sc.extra)
 }
 
-// ListSchedule runs the event-based list scheduling of paper Algorithm 3:
-// whenever a processor is available, it receives the head of the ready-node
-// priority queue defined by less. The returned schedule is always valid.
-//
-// less must be a strict weak order; when it is a total order the schedule
-// is independent of heap internals. This comparator form exists for ad-hoc
-// priorities; the package's own heuristics precompute a rank array per
-// tree (see Precompute) and go through listScheduleRank, which performs no
-// comparator calls and, on a warm pool, no allocations beyond the result.
-func ListSchedule(t *tree.Tree, p int, less func(a, b int) bool) (*Schedule, error) {
-	if p < 1 {
-		return nil, fmt.Errorf("sched: need at least one processor, got %d", p)
-	}
-	return ListScheduleOn(t, machine.Uniform(p), less)
-}
-
-// ListScheduleOn is ListSchedule on an explicit machine model: on a
-// heterogeneous model a freed processor is picked fastest-first and every
-// task runs in w/s_proc time. On a uniform model it is byte-identical to
-// ListSchedule.
-func ListScheduleOn(t *tree.Tree, m *machine.Model, less func(a, b int) bool) (*Schedule, error) {
-	n := t.Len()
-	if n == 0 {
-		return &Schedule{Start: []float64{}, Proc: []int{}, P: m.P(), M: hetModel(m)}, nil
-	}
-	// Reduce the comparator to its rank permutation once; the heap then
-	// compares integers.
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return less(idx[a], idx[b]) })
-	rank := make([]uint64, n)
-	for i, v := range idx {
-		rank[v] = uint64(i)
-	}
-	return listScheduleRank(t, m, rank)
-}
-
 // hetModel is the Schedule.M normalization: uniform machines are the
 // implicit default (nil), so uniform schedules stay bit-compatible with
 // every historical consumer.
@@ -242,7 +202,9 @@ func hetModel(m *machine.Model) *machine.Model {
 	return m
 }
 
-// listScheduleRank is the rank-keyed core of Algorithm 3.
+// listScheduleRank runs the event-based list scheduling of paper
+// Algorithm 3: whenever a processor is available, it receives the ready
+// node of lowest rank (the heuristics' rank arrays live in Precompute).
 func listScheduleRank(t *tree.Tree, m *machine.Model, rank []uint64) (*Schedule, error) {
 	n := t.Len()
 	s := &Schedule{Start: make([]float64, n), Proc: make([]int, n), P: m.P(), M: hetModel(m)}

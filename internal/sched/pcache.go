@@ -1,176 +1,32 @@
 package sched
 
-import (
-	"container/list"
-	"fmt"
-	"sync"
-)
-
-// pcacheHeavyFraction splits admissions into two classes: entries no
-// larger than budget/pcacheHeavyFraction are admitted on first sight,
-// while heavier entries must have been offered once before (tracked by the
-// doorkeeper generations below). A single giant tree then cannot flush a
-// working set of small hot trees on one cold request, but a genuinely
-// repeated giant tree is admitted on its second offer.
-const pcacheHeavyFraction = 8
-
-// pcacheDoorkeeperCap bounds each doorkeeper generation; when the young
-// generation fills up it becomes the old one and the old is dropped, so
-// the ghost-key memory is bounded and ages out in cache-offer time rather
-// than wall-clock time.
-const pcacheDoorkeeperCap = 4096
-
-// PrecomputeCacheStats is a point-in-time snapshot of a PrecomputeCache.
-type PrecomputeCacheStats struct {
-	Hits      int64 // Get calls that returned an entry
-	Misses    int64 // Get calls that found nothing
-	Evictions int64 // entries dropped for space (Purge included)
-	Bytes     int64 // resident bytes, by Precompute.SizeBytes
-	Entries   int64 // resident entry count
-}
+import "treesched/internal/lru"
 
 // PrecomputeCache is a size-aware, admission-weighted LRU over
 // *Precompute, keyed by the caller (the service keys on the tree's
-// CanonicalHash plus machine spec). It exists so repeat trees skip Liu's
-// best-postorder DP and the priority-rank builds entirely: a hit hands
-// back the shared per-tree context, which is safe for concurrent use
-// after construction, so any number of in-flight requests — different
-// heuristic sets, objectives, processor counts — can schedule off one
-// cached entry at once.
+// CanonicalHash). It exists so repeat trees skip Liu's best-postorder DP
+// and the priority-rank builds entirely: a hit hands back the shared
+// per-tree context, which is safe for concurrent use after construction,
+// so any number of in-flight requests — different heuristic sets,
+// objectives, processor counts, machines — can schedule off one cached
+// entry at once.
 //
 // The budget is in bytes (Precompute.SizeBytes per entry, retained tree
 // included), not entries: one 10⁶-node tree costs as much as thousands of
-// small ones, and an entry-count LRU would let it evict them all.
-// Admission is weighted by that size — see pcacheHeavyFraction. Entries
-// larger than the whole budget are never admitted.
+// small ones, and an entry-count LRU would let it evict them all. Entries
+// above 1/8 of the budget must be offered twice before they are admitted,
+// and entries larger than the whole budget never are (see lru.Cache).
 //
 // All methods are safe for concurrent use. Get performs no allocation, so
 // the request hot path stays on the zero-allocation budget of the
 // scheduling core.
-type PrecomputeCache struct {
-	mu     sync.Mutex
-	budget int64
-	bytes  int64
-	ll     *list.List // front = most recently used
-	items  map[string]*list.Element
-	// Doorkeeper generations for heavy entries: keys offered but not (yet)
-	// admitted. [0] is the young generation, [1] the old.
-	seen [2]map[string]struct{}
+type PrecomputeCache = lru.Cache[*Precompute]
 
-	hits, misses, evictions int64
-}
-
-type pcacheEntry struct {
-	key  string
-	pc   *Precompute
-	size int64
-}
+// PrecomputeCacheStats is a point-in-time snapshot of a PrecomputeCache;
+// its Bytes are resident bytes by Precompute.SizeBytes.
+type PrecomputeCacheStats = lru.Stats
 
 // NewPrecomputeCache returns a cache bounded to budgetBytes (must be > 0).
 func NewPrecomputeCache(budgetBytes int64) *PrecomputeCache {
-	if budgetBytes <= 0 {
-		panic(fmt.Sprintf("sched: precompute cache budget must be > 0 bytes, got %d", budgetBytes))
-	}
-	return &PrecomputeCache{
-		budget: budgetBytes,
-		ll:     list.New(),
-		items:  make(map[string]*list.Element),
-		seen:   [2]map[string]struct{}{{}, {}},
-	}
-}
-
-// Get returns the cached context for key, refreshing its recency.
-func (c *PrecomputeCache) Get(key string) (*Precompute, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.items[key]
-	if !ok {
-		c.misses++
-		return nil, false
-	}
-	c.hits++
-	c.ll.MoveToFront(el)
-	return el.Value.(*pcacheEntry).pc, true
-}
-
-// Add offers pc for key and reports whether it was admitted. An existing
-// entry is refreshed, not replaced (a Precompute for one tree is as good
-// as any other for the same tree). Rejected heavy offers are remembered
-// by the doorkeeper so a repeat offer is admitted.
-func (c *PrecomputeCache) Add(key string, pc *Precompute) bool {
-	size := pc.SizeBytes()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		return true
-	}
-	if size > c.budget {
-		return false
-	}
-	if size > c.budget/pcacheHeavyFraction && !c.seenBefore(key) {
-		c.remember(key)
-		return false
-	}
-	c.items[key] = c.ll.PushFront(&pcacheEntry{key: key, pc: pc, size: size})
-	c.bytes += size
-	for c.bytes > c.budget {
-		c.evictOldest()
-	}
-	return true
-}
-
-// Purge drops every entry (the eviction-storm chaos site) and returns the
-// number dropped. The doorkeeper survives: a storm should not also force
-// heavy entries back through two offers.
-func (c *PrecomputeCache) Purge() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := len(c.items)
-	c.evictions += int64(n)
-	c.ll.Init()
-	clear(c.items)
-	c.bytes = 0
-	return n
-}
-
-// Stats returns a consistent snapshot of the counters and residency.
-func (c *PrecomputeCache) Stats() PrecomputeCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return PrecomputeCacheStats{
-		Hits:      c.hits,
-		Misses:    c.misses,
-		Evictions: c.evictions,
-		Bytes:     c.bytes,
-		Entries:   int64(len(c.items)),
-	}
-}
-
-func (c *PrecomputeCache) evictOldest() {
-	el := c.ll.Back()
-	if el == nil {
-		return
-	}
-	ent := el.Value.(*pcacheEntry)
-	c.ll.Remove(el)
-	delete(c.items, ent.key)
-	c.bytes -= ent.size
-	c.evictions++
-}
-
-func (c *PrecomputeCache) seenBefore(key string) bool {
-	if _, ok := c.seen[0][key]; ok {
-		return true
-	}
-	_, ok := c.seen[1][key]
-	return ok
-}
-
-func (c *PrecomputeCache) remember(key string) {
-	if len(c.seen[0]) >= pcacheDoorkeeperCap {
-		c.seen[1] = c.seen[0]
-		c.seen[0] = make(map[string]struct{})
-	}
-	c.seen[0][key] = struct{}{}
+	return lru.New(budgetBytes, (*Precompute).SizeBytes)
 }

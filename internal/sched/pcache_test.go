@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 func pcacheTree(seed int64, n int) *Precompute {
 	return NewPrecompute(allocTree(seed, n))
@@ -18,132 +15,5 @@ func TestPrecomputeSizeBytes(t *testing.T) {
 	want := precomputeFixedBytes + 10*precomputePerNodeBytes
 	if got := small.SizeBytes(); got != int64(want) {
 		t.Fatalf("SizeBytes(10 nodes) = %d, want %d", got, want)
-	}
-}
-
-func TestPrecomputeCacheHitMissEvict(t *testing.T) {
-	pc := pcacheTree(1, 100)
-	// Budget for exactly two 100-node entries; all are "small" (<= 1/8 of
-	// budget is false here, so double it to keep first-touch admission).
-	budget := 16 * pc.SizeBytes()
-	c := NewPrecomputeCache(budget)
-
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("empty cache hit")
-	}
-	if !c.Add("a", pc) {
-		t.Fatal("small entry not admitted on first offer")
-	}
-	got, ok := c.Get("a")
-	if !ok || got != pc {
-		t.Fatal("admitted entry not returned")
-	}
-	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 || st.Bytes != pc.SizeBytes() {
-		t.Fatalf("stats = %+v, want 1 hit, 1 miss, 1 entry, %d bytes", st, pc.SizeBytes())
-	}
-
-	// Fill past budget: the least recently used entries must fall off, in
-	// recency order.
-	for i := 0; i < 20; i++ {
-		c.Add(fmt.Sprint("k", i), pcacheTree(int64(i), 100))
-	}
-	st = c.Stats()
-	if st.Bytes > budget {
-		t.Fatalf("resident %d bytes over budget %d", st.Bytes, budget)
-	}
-	if st.Evictions == 0 {
-		t.Fatal("over-budget fill evicted nothing")
-	}
-	if _, ok := c.Get("a"); ok {
-		t.Fatal("oldest entry survived an over-budget fill")
-	}
-	if _, ok := c.Get("k19"); !ok {
-		t.Fatal("most recent entry was evicted")
-	}
-}
-
-func TestPrecomputeCacheHeavyAdmission(t *testing.T) {
-	heavy := pcacheTree(7, 4000)
-	light := pcacheTree(8, 10)
-	// heavy > budget/8, light far below it.
-	budget := 4 * heavy.SizeBytes()
-	c := NewPrecomputeCache(budget)
-
-	if c.Add("heavy", heavy) {
-		t.Fatal("heavy entry admitted on first offer")
-	}
-	if _, ok := c.Get("heavy"); ok {
-		t.Fatal("rejected entry resident")
-	}
-	if !c.Add("heavy", heavy) {
-		t.Fatal("heavy entry not admitted on second offer (doorkeeper)")
-	}
-	if _, ok := c.Get("heavy"); !ok {
-		t.Fatal("admitted heavy entry missing")
-	}
-	if !c.Add("light", light) {
-		t.Fatal("light entry not admitted on first offer")
-	}
-
-	// An entry above the whole budget is never admitted.
-	giant := pcacheTree(9, 100000)
-	tiny := NewPrecomputeCache(giant.SizeBytes() / 2)
-	for i := 0; i < 3; i++ {
-		if tiny.Add("giant", giant) {
-			t.Fatal("entry larger than the budget admitted")
-		}
-	}
-}
-
-func TestPrecomputeCachePurge(t *testing.T) {
-	c := NewPrecomputeCache(1 << 30)
-	for i := 0; i < 5; i++ {
-		c.Add(fmt.Sprint("k", i), pcacheTree(int64(i), 50))
-	}
-	if n := c.Purge(); n != 5 {
-		t.Fatalf("Purge dropped %d entries, want 5", n)
-	}
-	st := c.Stats()
-	if st.Entries != 0 || st.Bytes != 0 {
-		t.Fatalf("post-purge stats = %+v, want empty", st)
-	}
-	if st.Evictions != 5 {
-		t.Fatalf("purge counted %d evictions, want 5", st.Evictions)
-	}
-	if _, ok := c.Get("k0"); ok {
-		t.Fatal("purged entry resident")
-	}
-}
-
-func TestPrecomputeCacheConcurrent(t *testing.T) {
-	c := NewPrecomputeCache(1 << 24)
-	pcs := make([]*Precompute, 8)
-	for i := range pcs {
-		pcs[i] = pcacheTree(int64(i), 200)
-	}
-	done := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		go func(g int) {
-			defer func() { done <- struct{}{} }()
-			for i := 0; i < 200; i++ {
-				k := fmt.Sprint("k", (g+i)%8)
-				if pc, ok := c.Get(k); ok {
-					_ = pc.MSeq()
-				} else {
-					c.Add(k, pcs[(g+i)%8])
-				}
-				if i%50 == 49 {
-					c.Purge()
-				}
-			}
-		}(g)
-	}
-	for g := 0; g < 4; g++ {
-		<-done
-	}
-	st := c.Stats()
-	if st.Hits+st.Misses != 4*200 {
-		t.Fatalf("hits %d + misses %d != 800 gets", st.Hits, st.Misses)
 	}
 }

@@ -268,7 +268,7 @@ func TestChaosEvictionStorm(t *testing.T) {
 	if resp := decodeResponse(t, rec); resp.Error != "" || resp.Cached {
 		t.Errorf("final request under eviction chaos: cached=%v error=%q", resp.Cached, resp.Error)
 	}
-	if n := s.cache.len(); n > 1 {
+	if n := s.cache.Stats().Entries; n > 1 {
 		t.Errorf("cache holds %d entries under evict=1, want <= 1", n)
 	}
 	s.Close()

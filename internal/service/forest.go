@@ -65,23 +65,22 @@ func (s *Server) handleForest(w http.ResponseWriter, r *http.Request) {
 	}
 	cfg, err := forestConfigFromQuery(r.URL.Query(), s.cfg.MaxProcs)
 	if err != nil {
-		s.rejectJSON(w, http.StatusBadRequest, s.metrics.errDecode, err.Error())
+		s.rejectJSON(w, http.StatusBadRequest, s.metrics.errDecode, errKindDecode, rid, err.Error())
 		finish(http.StatusBadRequest, err.Error(), errKindDecode, nil)
 		return
 	}
 	timeout, terr := s.requestTimeout(r)
 	if terr != nil {
-		s.rejectJSON(w, http.StatusBadRequest, s.metrics.errDecode, terr.Error())
+		s.rejectJSON(w, http.StatusBadRequest, s.metrics.errDecode, errKindDecode, rid, terr.Error())
 		finish(http.StatusBadRequest, terr.Error(), errKindDecode, nil)
 		return
 	}
 	// Forest runs are the heaviest single jobs the pool takes, so they
 	// pass admission like every other CPU-bound request.
 	if dec := s.admit(resilience.PriorityHigh); dec != resilience.Admitted {
-		s.metrics.errShed.Inc()
 		w.Header().Set("Retry-After", "1")
 		msg := shedMessage(dec)
-		writeJSON(w, http.StatusServiceUnavailable, Response{RequestID: rid, Error: msg})
+		s.rejectJSON(w, http.StatusServiceUnavailable, s.metrics.errShed, errKindShed, rid, msg)
 		finish(http.StatusServiceUnavailable, msg, errKindShed, nil)
 		return
 	}

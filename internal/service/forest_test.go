@@ -161,6 +161,9 @@ func TestForestEndpointRejections(t *testing.T) {
 		if !strings.Contains(resp.Error, tc.errPart) {
 			t.Errorf("%s: error %q, want substring %q", tc.name, resp.Error, tc.errPart)
 		}
+		if rid := rec.Header().Get("X-Request-Id"); rid == "" || resp.RequestID != rid {
+			t.Errorf("%s: request_id %q under X-Request-Id %q", tc.name, resp.RequestID, rid)
+		}
 	}
 
 	// A tree over MaxNodes inside a trace line is a 413, not a 400.

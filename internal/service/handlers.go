@@ -26,11 +26,15 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
-// rejectJSON rejects a request before it reaches the worker pool; kind is
-// the pre-resolved errors_total{kind} child the rejection counts against.
-func (s *Server) rejectJSON(w http.ResponseWriter, status int, kind *obs.Counter, msg string) {
+// rejectJSON rejects a request before it reaches the worker pool: it
+// counts the rejection against kind, the pre-resolved errors_total{kind}
+// child named kindName, and answers an error Response carrying the
+// request id rid, which it returns for the caller's outcome bookkeeping.
+func (s *Server) rejectJSON(w http.ResponseWriter, status int, kind *obs.Counter, kindName, rid, msg string) *Response {
 	kind.Inc()
-	writeJSON(w, status, Response{Error: msg})
+	resp := &Response{RequestID: rid, Error: msg, errKind: kindName}
+	writeJSON(w, status, resp)
+	return resp
 }
 
 // traceWanted reports whether the request opted into span tracing via
@@ -118,10 +122,7 @@ func (s *Server) handleOne(w http.ResponseWriter, r *http.Request, forcePortfoli
 		s.logRequest(rid, endpoint, status, elapsed, resp.Error)
 	}
 	reject := func(status int, kind *obs.Counter, kindName, msg string) {
-		kind.Inc()
-		resp := &Response{RequestID: rid, Error: msg, errKind: kindName}
-		writeJSON(w, status, resp)
-		finish(status, resp)
+		finish(status, s.rejectJSON(w, status, kind, kindName, rid, msg))
 	}
 	timeout, terr := s.requestTimeout(r)
 	if terr != nil {
@@ -191,7 +192,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("X-Request-Id", rid)
 	timeout, terr := s.requestTimeout(r)
 	if terr != nil {
-		s.rejectJSON(w, http.StatusBadRequest, s.metrics.errDecode, terr.Error())
+		// Recorded like handleOne's rejections: a latency sample, a flight
+		// entry and a log line for the batch as a whole.
+		resp := s.rejectJSON(w, http.StatusBadRequest, s.metrics.errDecode, errKindDecode, rid, terr.Error())
+		elapsed := time.Since(start)
+		s.metrics.latBatch.ObserveExemplar(elapsed.Nanoseconds(), rid)
+		s.metrics.recordOutcome(flightInfoFor(rid, epBatch, http.StatusBadRequest, elapsed, resp), nil)
+		s.logRequest(rid, epBatch, http.StatusBadRequest, elapsed, resp.Error)
 		return
 	}
 	// Go's HTTP/1 server discards the unread rest of a request body at the
@@ -415,7 +422,7 @@ func (s *Server) answerBytes(ctx context.Context, arrival time.Time, raw []byte,
 		// asserts they stay byte-identical to an unfaulted run.
 		if (s.cache != nil || s.pcache != nil) && s.cfg.Chaos.At(chaos.SiteCache).Kind == chaos.Evict {
 			if s.cache != nil {
-				s.cache.purge()
+				s.cache.Purge()
 			}
 			if s.pcache != nil {
 				s.pcache.Purge()

@@ -9,7 +9,6 @@ import (
 
 	"treesched/internal/obs"
 	"treesched/internal/resilience"
-	"treesched/internal/sched"
 )
 
 // Error kinds for the treeschedd_errors_total{kind} family. The unlabeled
@@ -35,9 +34,9 @@ type serverMetrics struct {
 	requests                                       *obs.CounterVec
 	reqSchedule, reqBatch, reqPortfolio, reqForest *obs.Counter
 
-	forestJobs, forestRejected    *obs.Counter
-	forestRounds, forestBookRej   *obs.Counter
-	trees, cacheHits, cacheMisses *obs.Counter
+	forestJobs, forestRejected  *obs.Counter
+	forestRounds, forestBookRej *obs.Counter
+	trees                       *obs.Counter
 
 	errors                                         *obs.CounterVec
 	errDecode, errLimit, errCancelled, errInternal *obs.Counter
@@ -93,51 +92,43 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Forest jobs rejected by admission.")
 	m.trees = obs.NewCounter("treeschedd_trees_scheduled_total",
 		"Trees scheduled (cache misses that ran the heuristics).")
-	m.cacheHits = obs.NewCounter("treeschedd_cache_hits_total",
-		"Responses served from the LRU cache.")
-	m.cacheMisses = obs.NewCounter("treeschedd_cache_misses_total",
-		"Cache lookups that missed.")
+	// Both caches count their own hits, misses and residency; these
+	// families read the stats at scrape time (a disabled, nil cache
+	// reports zeros), so the request hot path pays nothing for them.
+	cacheHits := obs.NewFuncCounter("treeschedd_cache_hits_total",
+		"Responses served from the LRU cache.",
+		func() float64 { return float64(s.cache.Stats().Hits) })
+	cacheMisses := obs.NewFuncCounter("treeschedd_cache_misses_total",
+		"Cache lookups that missed.",
+		func() float64 { return float64(s.cache.Stats().Misses) })
 	cacheRatio := obs.NewGaugeFunc("treeschedd_cache_hit_ratio",
 		"Hits / (hits + misses) since start.", func() float64 {
-			hits, misses := m.cacheHits.Value(), m.cacheMisses.Value()
-			if hits+misses == 0 {
+			st := s.cache.Stats()
+			if st.Hits+st.Misses == 0 {
 				return 0
 			}
-			return float64(hits) / float64(hits+misses)
+			return float64(st.Hits) / float64(st.Hits+st.Misses)
 		})
 	cacheEntries := obs.NewGaugeFunc("treeschedd_cache_entries",
-		"Responses currently cached.", func() float64 {
-			if s.cache == nil {
-				return 0
-			}
-			return float64(s.cache.len())
-		})
+		"Responses currently cached.",
+		func() float64 { return float64(s.cache.Stats().Entries) })
 	inflight := obs.NewGaugeFunc("treeschedd_inflight_jobs",
 		"Scheduling jobs running or queued on the pool.", func() float64 {
 			return float64(m.inflight.Load())
 		})
 
-	// Cross-request Precompute cache. The counters read the cache's own
-	// atomic-snapshot stats at scrape time (nil-safe: a disabled cache
-	// reports zeros), so the request hot path pays nothing for them.
-	pcacheStats := func() (st sched.PrecomputeCacheStats) {
-		if s.pcache != nil {
-			st = s.pcache.Stats()
-		}
-		return st
-	}
 	pcHits := obs.NewFuncCounter("treeschedd_precompute_cache_hits_total",
 		"Scheduling requests whose per-tree Precompute came from the cross-request cache.",
-		func() float64 { return float64(pcacheStats().Hits) })
+		func() float64 { return float64(s.pcache.Stats().Hits) })
 	pcMisses := obs.NewFuncCounter("treeschedd_precompute_cache_misses_total",
 		"Precompute cache lookups that built the per-tree context fresh.",
-		func() float64 { return float64(pcacheStats().Misses) })
+		func() float64 { return float64(s.pcache.Stats().Misses) })
 	pcEvictions := obs.NewFuncCounter("treeschedd_precompute_cache_evictions_total",
 		"Precompute cache entries dropped for space (eviction storms included).",
-		func() float64 { return float64(pcacheStats().Evictions) })
+		func() float64 { return float64(s.pcache.Stats().Evictions) })
 	pcBytes := obs.NewGaugeFunc("treeschedd_precompute_cache_bytes",
 		"Resident bytes of the cross-request Precompute cache.",
-		func() float64 { return float64(pcacheStats().Bytes) })
+		func() float64 { return float64(s.pcache.Stats().Bytes) })
 
 	m.errors = obs.NewCounterVec("treeschedd_errors_total",
 		"Rejected requests and failed batch lines, by kind.", "kind", true)
@@ -246,7 +237,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 
 	m.reg.Register(
 		m.requests, m.forestJobs, m.forestRejected, m.trees,
-		m.cacheHits, m.cacheMisses, cacheRatio, cacheEntries,
+		cacheHits, cacheMisses, cacheRatio, cacheEntries,
 		pcHits, pcMisses, pcEvictions, pcBytes, inflight,
 		m.errors, uptime,
 		m.latency, m.queueWait, m.treeNodes, m.peakMemory,

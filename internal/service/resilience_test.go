@@ -98,6 +98,37 @@ func TestRequestTimeoutHeaderDeadline(t *testing.T) {
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("bad X-Timeout-Ms: status %d, want 400", rec.Code)
 	}
+
+	// The batch and forest endpoints reject it on the handler goroutine;
+	// the body still carries the request id, and a rejected batch is
+	// recorded like a rejected single request.
+	for _, path := range []string{"/v1/schedule/batch", "/v1/forest"} {
+		req = httptest.NewRequest(http.MethodPost, path, strings.NewReader(string(body)))
+		req.Header.Set("X-Timeout-Ms", "abc")
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		rid := rec.Header().Get("X-Request-Id")
+		if resp := decodeResponse(t, rec); rec.Code != http.StatusBadRequest || rid == "" || resp.RequestID != rid {
+			t.Errorf("%s with a bad X-Timeout-Ms: status %d, request_id %q under X-Request-Id %q; want 400 echoing the id",
+				path, rec.Code, resp.RequestID, rid)
+		}
+		if path != epBatch {
+			continue
+		}
+		found := false
+		for _, e := range getFlight(t, h, "/debug/flight").Entries {
+			if e.RequestID == rid {
+				found = e.Endpoint == epBatch && e.ErrorKind == errKindDecode
+			}
+		}
+		if !found {
+			t.Errorf("rejected batch %s has no flight entry on %s with kind %s", rid, epBatch, errKindDecode)
+		}
+		samples := parseMetricsPage(t, getBody(t, h, "/metrics"))
+		if got := sampleValue(samples, `treeschedd_request_duration_seconds_count{endpoint="/v1/schedule/batch"}`); got != "1" {
+			t.Errorf("batch latency count = %s after its rejection, want 1", got)
+		}
+	}
 }
 
 // TestTimeoutMSField exercises the wire-level budget: timeout_ms counts
@@ -356,7 +387,7 @@ func TestDegradationLadder(t *testing.T) {
 
 	// Degraded responses must not poison the cache: replaying the top-3
 	// request after recovery must compute the full answer fresh.
-	if got := s.cache.len(); got != 1 {
+	if got := s.cache.Stats().Entries; got != 1 {
 		t.Errorf("cache holds %d entries, want only the full-quality one", got)
 	}
 	samples := parseMetricsPage(t, getBody(t, h, "/metrics"))
@@ -411,7 +442,7 @@ func TestBreakerSkipsExact(t *testing.T) {
 			t.Error("Exact candidate ran despite the open breaker")
 		}
 	}
-	if s.cache.len() != 0 {
+	if s.cache.Stats().Entries != 0 {
 		t.Error("breaker-degraded response was cached")
 	}
 
@@ -479,7 +510,7 @@ func TestExactBudgetScaledToDeadline(t *testing.T) {
 	if !found {
 		t.Errorf("degraded = %v, want exact_scaled", resp.Degraded)
 	}
-	if s.cache.len() != 0 {
+	if s.cache.Stats().Entries != 0 {
 		t.Error("budget-scaled response was cached")
 	}
 }

@@ -44,7 +44,11 @@
 // (GOMAXPROCS slots) has free.
 // Results are cached in an LRU keyed by the tree's canonical hash plus all
 // scheduling parameters, so a repeated submission is answered without
-// rescheduling. Requests are size-limited (Config.MaxBodyBytes,
+// rescheduling; each response costs one unit of the Config.CacheSize
+// budget. The per-tree scheduling context (sched.Precompute) is cached
+// across requests too, keyed by the canonical hash alone and charged its
+// bytes against Config.PrecomputeCacheBytes; both caches are instances of
+// internal/lru. Requests are size-limited (Config.MaxBodyBytes,
 // Config.MaxNodes) and malformed or oversized payloads are rejected with
 // JSON error objects. Responses are deterministic: identical requests
 // produce identical result sets whether computed or cached, concurrent or
@@ -78,6 +82,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"treesched/internal/lru"
 	"treesched/internal/resilience"
 	"treesched/internal/resilience/chaos"
 	"treesched/internal/sched"
@@ -143,13 +148,13 @@ type Config struct {
 	// Workers is the size of the scheduling worker pool.
 	// Default: GOMAXPROCS.
 	Workers int
-	// CacheSize is the number of LRU-cached responses. 0 means
+	// CacheSize budgets the LRU response cache: each cached response
+	// costs one unit, so it is the number of responses held. 0 means
 	// DefaultCacheSize; negative disables caching.
 	CacheSize int
 	// PrecomputeCacheBytes budgets the cross-request Precompute cache in
-	// bytes (per-tree scheduling context keyed by canonical tree hash and
-	// machine spec). 0 means DefaultPrecomputeCacheBytes; negative
-	// disables it.
+	// bytes (per-tree scheduling context keyed by canonical tree hash).
+	// 0 means DefaultPrecomputeCacheBytes; negative disables it.
 	PrecomputeCacheBytes int64
 	// MaxBodyBytes limits the size of a single request body, of each
 	// line of a batch, and of a whole /v1/forest trace.
@@ -286,10 +291,11 @@ func (c Config) withDefaults() Config {
 type Server struct {
 	cfg   Config
 	pool  *pool
-	cache *lruCache
+	cache *lru.Cache[*Response]
 	// pcache shares per-tree scheduling context (sched.Precompute) across
 	// requests: a repeat tree skips Liu's DP and the rank builds even when
-	// the response itself differs (other heuristics, objective, p).
+	// the response itself differs (other heuristics, objective, p,
+	// machine).
 	pcache  *sched.PrecomputeCache
 	metrics *serverMetrics
 	mux     *http.ServeMux
@@ -324,7 +330,7 @@ func New(cfg Config) *Server {
 		raceSlots: make(chan struct{}, runtime.GOMAXPROCS(0)),
 	}
 	if cfg.CacheSize > 0 {
-		s.cache = newLRUCache(cfg.CacheSize)
+		s.cache = lru.New(int64(cfg.CacheSize), func(*Response) int64 { return 1 })
 	}
 	if cfg.PrecomputeCacheBytes > 0 {
 		s.pcache = sched.NewPrecomputeCache(cfg.PrecomputeCacheBytes)

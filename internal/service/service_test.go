@@ -600,29 +600,6 @@ func TestSafeRunContainsPanics(t *testing.T) {
 	}
 }
 
-func TestCacheEviction(t *testing.T) {
-	c := newLRUCache(2)
-	r := &Response{}
-	c.add("a", r)
-	c.add("b", r)
-	if _, ok := c.get("a"); !ok { // touches a, making b the eviction victim
-		t.Fatal("a missing")
-	}
-	c.add("c", r)
-	if _, ok := c.get("b"); ok {
-		t.Fatal("b should have been evicted as least recently used")
-	}
-	if _, ok := c.get("a"); !ok {
-		t.Fatal("a wrongly evicted")
-	}
-	if _, ok := c.get("c"); !ok {
-		t.Fatal("c missing")
-	}
-	if c.len() != 2 {
-		t.Fatalf("cache len %d, want 2", c.len())
-	}
-}
-
 func TestPortfolioEndpoint(t *testing.T) {
 	s := New(Config{})
 	defer s.Close()

@@ -207,11 +207,6 @@ type job struct {
 	opts      sched.Options
 	objective *portfolio.Objective
 	cacheKey  string
-	// pcKey keys the cross-request Precompute cache: the canonical tree
-	// hash alone on the uniform machine (the per-tree context is
-	// p-independent, so requests at any p share one entry), plus the
-	// machine spec on heterogeneous requests.
-	pcKey string
 	// pcState records the Precompute-cache outcome of this job ("hit",
 	// "miss", or empty when the cache is disabled); answerBytes copies it
 	// to the response's precompute field.
@@ -312,22 +307,20 @@ func (s *Server) prepare(req Request, t *tree.Tree, forcePortfolio bool, tr *obs
 	tr.End(hid)
 	j := &job{req: req, tree: t, treeHash: treeHash, opts: opts, objective: obj}
 	j.cacheKey = cacheKey(j.treeHash, opts, obj)
-	j.pcKey = treeHash
-	if mm != nil {
-		j.pcKey += "|m=" + mm.Spec()
-	}
 	return j, nil
 }
 
 // precomputeFor resolves the job's per-tree scheduling context through the
-// cross-request Precompute cache: a hit skips Liu's DP and the rank builds
-// entirely and records a "precompute_cached" span (value 1); a miss builds
-// the context under the usual "precompute" span and offers it to the
-// cache. With the cache disabled the context is built per request, as
-// before this layer existed.
+// cross-request Precompute cache, keyed by the canonical tree hash alone:
+// the context depends on the tree only (every *On method takes the machine
+// per call), so requests at any p and on any machine share one entry. A
+// hit skips Liu's DP and the rank builds entirely and records a
+// "precompute_cached" span (value 1); a miss builds the context under the
+// usual "precompute" span and offers it to the cache. With the cache
+// disabled the context is built per request, as before this layer existed.
 func (s *Server) precomputeFor(j *job, tr *obs.Trace) *sched.Precompute {
 	if s.pcache != nil {
-		if pc, ok := s.pcache.Get(j.pcKey); ok {
+		if pc, ok := s.pcache.Get(j.treeHash); ok {
 			pid := tr.Start("precompute_cached", obs.RootSpan)
 			tr.SetValue(pid, 1)
 			tr.End(pid)
@@ -340,7 +333,7 @@ func (s *Server) precomputeFor(j *job, tr *obs.Trace) *sched.Precompute {
 	pc := sched.NewPrecompute(j.tree)
 	tr.End(pid)
 	if s.pcache != nil {
-		s.pcache.Add(j.pcKey, pc)
+		s.pcache.Add(j.treeHash, pc)
 	}
 	return pc
 }
@@ -705,18 +698,16 @@ func renderTimeline(pc *sched.Precompute, opts sched.Options, id sched.Heuristic
 	return buf.Bytes()
 }
 
-// cached returns a personalized copy of j's cached response, counting the
-// hit or miss.
+// cached returns a personalized copy of j's cached response; the cache
+// counts the hit or miss.
 func (s *Server) cached(j *job) (*Response, bool) {
 	if s.cache == nil {
 		return nil, false
 	}
-	c, ok := s.cache.get(j.cacheKey)
+	c, ok := s.cache.Get(j.cacheKey)
 	if !ok {
-		s.metrics.cacheMisses.Inc()
 		return nil, false
 	}
-	s.metrics.cacheHits.Inc()
 	resp := *c // shallow copy; Results are shared and read-only
 	resp.ID = j.req.ID
 	resp.Cached = true
@@ -731,19 +722,6 @@ func (s *Server) answerJob(ctx context.Context, j *job) *Response {
 		_, resp := s.ctxErrResponse(ctx, j.req.ID)
 		return resp
 	}
-	// Dedup re-check: a concurrent identical request may have finished
-	// while this one waited for a worker. Bypasses the hit/miss counters —
-	// this lookup is an internal optimization, not a client-visible miss.
-	// Timeline jobs bypass the cache both ways: cached responses carry no
-	// timeline, and a per-request rendering must not be shared.
-	if s.cache != nil && !j.timeline {
-		if c, ok := s.cache.get(j.cacheKey); ok {
-			resp := *c
-			resp.ID = j.req.ID
-			resp.Cached = true
-			return &resp
-		}
-	}
 	resp := s.safeRun(ctx, j)
 	// A job aborted by its context mid-run was not scheduled — it already
 	// counted against errors_total{deadline|cancelled}, and counting it
@@ -754,9 +732,11 @@ func (s *Server) answerJob(ctx context.Context, j *job) *Response {
 	}
 	// Degraded responses are never cached: they answer with reduced
 	// quality under the moment's pressure, and a cache entry would keep
-	// serving that reduced answer after the pressure is gone.
+	// serving that reduced answer after the pressure is gone. Timeline
+	// jobs bypass the cache both ways: cached responses carry no timeline,
+	// and a per-request rendering must not be shared.
 	if s.cache != nil && !j.timeline && resp.Error == "" && len(resp.Degraded) == 0 {
-		s.cache.add(j.cacheKey, resp)
+		s.cache.Add(j.cacheKey, resp)
 	}
 	return resp
 }
