@@ -107,6 +107,15 @@ func TestCompareCore(t *testing.T) {
 			wantErr: "aggregate 40000 schedules/sec below baseline 100000 / 2",
 		},
 		{
+			name: "NaN schedules/sec fails",
+			rep: coreReport(
+				map[string]float64{"ParInnerFirst": 1000, "Sequential": 500, "Obs/CounterInc": 10},
+				map[string]float64{"ParInnerFirst": 3, "Sequential": 1, "Obs/CounterInc": 0},
+				math.NaN()),
+			owns:    ownsAll,
+			wantErr: "aggregate NaN schedules/sec below baseline 100000 / 2",
+		},
+		{
 			name: "other seed fails",
 			rep: func() *CoreReport {
 				r := coreReport(base.MeanNsByBench, base.MeanAllocsByBench, 1e5)

@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"sort"
 	"time"
 
@@ -137,8 +139,8 @@ func printForestReport(rep *ForestReport) {
 	}
 }
 
-// forestGate compares rep against a baseline ForestReport and errors when
-// the simulation throughput regressed by more than maxratio.
+// forestGate reads the baseline report at path and gates rep against it
+// (see compareForest).
 func forestGate(rep *ForestReport, path string, maxratio float64) error {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -148,21 +150,37 @@ func forestGate(rep *ForestReport, path string, maxratio float64) error {
 	if err := json.Unmarshal(b, &base); err != nil {
 		return fmt.Errorf("parsing baseline %s: %w", path, err)
 	}
+	if err := compareForest(&base, rep, maxratio); err != nil {
+		return fmt.Errorf("vs baseline %s: %w", path, err)
+	}
+	return nil
+}
+
+// compareForest errors when rep's simulation throughput fell below base's
+// by more than maxratio, or when a baseline policy is missing from rep or
+// completed fewer jobs. The limit is written as !(x >= limit) so a NaN
+// throughput fails too, and policies are checked in name order so a run
+// with several failures always reports the same one.
+func compareForest(base, rep *ForestReport, maxratio float64) error {
 	if base.Suite != rep.Suite || base.Scale != rep.Scale || base.Seed != rep.Seed ||
 		base.Jobs != rep.Jobs || base.Processors != rep.Processors {
-		return fmt.Errorf("baseline %s is %s/%s seed %d (%d jobs, p=%d); this run is %s/%s seed %d (%d jobs, p=%d)",
-			path, base.Suite, base.Scale, base.Seed, base.Jobs, base.Processors,
+		return fmt.Errorf("baseline is %s/%s seed %d (%d jobs, p=%d); this run is %s/%s seed %d (%d jobs, p=%d)",
+			base.Suite, base.Scale, base.Seed, base.Jobs, base.Processors,
 			rep.Suite, rep.Scale, rep.Seed, rep.Jobs, rep.Processors)
 	}
-	if base.SimJobsPerSec > 0 && rep.SimJobsPerSec < base.SimJobsPerSec/maxratio {
+	if base.SimJobsPerSec > 0 && !(rep.SimJobsPerSec >= base.SimJobsPerSec/maxratio) {
 		return fmt.Errorf("simulation throughput %.0f jobs/sec below baseline %.0f / %g",
 			rep.SimJobsPerSec, base.SimJobsPerSec, maxratio)
 	}
 	// Quality regression guard: a policy silently completing fewer jobs
 	// than the baseline is a behavior change, not noise.
-	for name, bst := range base.Policies {
-		if st, ok := rep.Policies[name]; !ok || st.Completed < bst.Completed {
-			return fmt.Errorf("policy %s completed %d jobs, baseline %d", name, rep.Policies[name].Completed, bst.Completed)
+	for _, name := range slices.Sorted(maps.Keys(base.Policies)) {
+		st, ok := rep.Policies[name]
+		if !ok {
+			return fmt.Errorf("policy %s present in baseline but not in this run", name)
+		}
+		if bst := base.Policies[name]; st.Completed < bst.Completed {
+			return fmt.Errorf("policy %s completed %d jobs, baseline %d", name, st.Completed, bst.Completed)
 		}
 	}
 	return nil

@@ -3,8 +3,10 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
+	"slices"
 	"sort"
 	"time"
 
@@ -209,10 +211,8 @@ func printGapReport(rep *GapReport) {
 	}
 }
 
-// gapGate compares rep against a baseline GapReport. The proved count
-// must not drop, throughput must stay within maxratio of the baseline,
-// and — because the suite is deterministic — no heuristic's worst gap may
-// grow beyond float tolerance.
+// gapGate reads the baseline report at path and gates rep against it
+// (see compareGap).
 func gapGate(rep *GapReport, path string, maxratio float64) error {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -222,27 +222,40 @@ func gapGate(rep *GapReport, path string, maxratio float64) error {
 	if err := json.Unmarshal(b, &base); err != nil {
 		return fmt.Errorf("parsing baseline %s: %w", path, err)
 	}
+	if err := compareGap(&base, rep, maxratio); err != nil {
+		return fmt.Errorf("vs baseline %s: %w", path, err)
+	}
+	return nil
+}
+
+// compareGap compares rep against base. The proved count must not drop,
+// throughput must stay within maxratio of the baseline, and — because the
+// suite is deterministic — no heuristic's worst gap may grow beyond float
+// tolerance. Limits are written as !(x >= limit) and !(x <= limit) so a
+// NaN throughput or gap fails too, and heuristics are checked in name
+// order so a run with several failures always reports the same one.
+func compareGap(base, rep *GapReport, maxratio float64) error {
 	if base.Suite != rep.Suite || base.Scale != rep.Scale || base.Seed != rep.Seed ||
 		base.Processors != rep.Processors || base.Instances != rep.Instances ||
 		base.NodeBudget != rep.NodeBudget {
-		return fmt.Errorf("baseline %s is %s/%s seed %d (%d instances, p=%d, budget %d); this run is %s/%s seed %d (%d instances, p=%d, budget %d)",
-			path, base.Suite, base.Scale, base.Seed, base.Instances, base.Processors, base.NodeBudget,
+		return fmt.Errorf("baseline is %s/%s seed %d (%d instances, p=%d, budget %d); this run is %s/%s seed %d (%d instances, p=%d, budget %d)",
+			base.Suite, base.Scale, base.Seed, base.Instances, base.Processors, base.NodeBudget,
 			rep.Suite, rep.Scale, rep.Seed, rep.Instances, rep.Processors, rep.NodeBudget)
 	}
 	if rep.Proved < base.Proved {
 		return fmt.Errorf("proved %d optima, baseline proved %d", rep.Proved, base.Proved)
 	}
-	if base.ProvedPerSec > 0 && rep.ProvedPerSec < base.ProvedPerSec/maxratio {
+	if base.ProvedPerSec > 0 && !(rep.ProvedPerSec >= base.ProvedPerSec/maxratio) {
 		return fmt.Errorf("exact throughput %.1f proved/sec below baseline %.1f / %g",
 			rep.ProvedPerSec, base.ProvedPerSec, maxratio)
 	}
 	const eps = 1e-9 // gaps are deterministic ratios; growth is a real change
-	for name, bst := range base.Heuristics {
+	for _, name := range slices.Sorted(maps.Keys(base.Heuristics)) {
 		st, ok := rep.Heuristics[name]
 		if !ok {
 			return fmt.Errorf("heuristic %s present in baseline but not in this run", name)
 		}
-		if st.WorstGap > bst.WorstGap*(1+eps) {
+		if bst := base.Heuristics[name]; !(st.WorstGap <= bst.WorstGap*(1+eps)) {
 			return fmt.Errorf("heuristic %s worst gap %.9f exceeds baseline %.9f", name, st.WorstGap, bst.WorstGap)
 		}
 	}

@@ -318,8 +318,8 @@ func printReport(rep *Report) {
 	}
 }
 
-// gate compares rep against the baseline report and errors when p50
-// latency or throughput regressed by more than maxratio.
+// gate reads the baseline report at path and gates rep against it (see
+// comparePortfolio).
 func gate(rep *Report, path string, maxratio float64) error {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -329,17 +329,27 @@ func gate(rep *Report, path string, maxratio float64) error {
 	if err := json.Unmarshal(b, &base); err != nil {
 		return fmt.Errorf("parsing baseline %s: %w", path, err)
 	}
+	if err := comparePortfolio(&base, rep, maxratio); err != nil {
+		return fmt.Errorf("vs baseline %s: %w", path, err)
+	}
+	return nil
+}
+
+// comparePortfolio errors when rep's p50 latency or throughput regressed
+// by more than maxratio against base. The limits are written as
+// !(x <= limit) and !(x >= limit) so a NaN measurement fails too.
+func comparePortfolio(base, rep *Report, maxratio float64) error {
 	// Refuse apples-to-oranges comparisons: the gate is only meaningful
 	// against a baseline of the same suite.
 	if base.Scale != rep.Scale || base.Seed != rep.Seed || !slices.Equal(base.Processors, rep.Processors) {
-		return fmt.Errorf("baseline %s is %s scale seed %d p%v; this run is %s scale seed %d p%v",
-			path, base.Scale, base.Seed, base.Processors, rep.Scale, rep.Seed, rep.Processors)
+		return fmt.Errorf("baseline is %s scale seed %d p%v; this run is %s scale seed %d p%v",
+			base.Scale, base.Seed, base.Processors, rep.Scale, rep.Seed, rep.Processors)
 	}
-	if base.P50LatencyUS > 0 && rep.P50LatencyUS > maxratio*base.P50LatencyUS {
+	if base.P50LatencyUS > 0 && !(rep.P50LatencyUS <= maxratio*base.P50LatencyUS) {
 		return fmt.Errorf("p50 latency %.0fµs exceeds %g× baseline %.0fµs",
 			rep.P50LatencyUS, maxratio, base.P50LatencyUS)
 	}
-	if base.SchedulesPerSec > 0 && rep.SchedulesPerSec < base.SchedulesPerSec/maxratio {
+	if base.SchedulesPerSec > 0 && !(rep.SchedulesPerSec >= base.SchedulesPerSec/maxratio) {
 		return fmt.Errorf("throughput %.0f schedules/sec below baseline %.0f / %g",
 			rep.SchedulesPerSec, base.SchedulesPerSec, maxratio)
 	}

@@ -36,7 +36,7 @@ func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
 		workers   = flag.Int("workers", 0, "scheduling worker pool size (default GOMAXPROCS)")
-		cacheSize = flag.Int("cache", service.DefaultCacheSize, "LRU result cache entries (negative disables)")
+		cacheSize = flag.Int("cache", service.DefaultCacheSize, "LRU result cache entries, and as many tree-byte aliases (negative disables both)")
 		pcBytes   = flag.Int64("precompute-cache-bytes", service.DefaultPrecomputeCacheBytes, "byte budget of the cross-request Precompute cache (negative disables)")
 		maxBody   = flag.Int64("max-body", service.DefaultMaxBodyBytes, "max request body / batch line bytes")
 		maxNodes  = flag.Int("max-nodes", service.DefaultMaxNodes, "max tree size in nodes")

@@ -86,37 +86,49 @@ func refParse(s *Server, raw []byte) (Request, *job, error) {
 	if t.Len() == 0 {
 		return req, nil, badRequest("tree is empty")
 	}
-	j, err := s.prepare(req, t, false, nil)
+	j, err := s.prepare(req, tree.Member{Tree: t}, false, nil)
 	return req, j, err
 }
 
 // checkParseMatchesReference fails t unless Server.parse and refParse give
 // raw the same outcome: the same decoded Request fields (tree members
 // aside), HTTP status and errors_total kind, and on success the same tree
-// hash, cache key and options. It returns the status.
+// hash, node count, cache key and options. raw is parsed twice: a success
+// teaches the alias cache the tree member's bytes, so the second parse
+// must take the alias and skip the decode, and still match. It returns
+// the status.
 func checkParseMatchesReference(t *testing.T, s *Server, raw []byte) int {
 	t.Helper()
-	req, j, err := s.parse(raw, false, nil)
 	wreq, wj, werr := refParse(s, raw)
-	status, kind := http.StatusOK, ""
-	if err != nil {
-		status, kind = errorClass(err)
-	}
 	wstatus, wkind := http.StatusOK, ""
 	if werr != nil {
 		wstatus, wkind = errorClass(werr)
 	}
-	if status != wstatus || kind != wkind {
-		t.Fatalf("%q: status %d kind %q (%v), reference %d %q (%v)", raw, status, kind, err, wstatus, wkind, werr)
+	wreq.Tree, wreq.TreeText = nil, ""
+	for _, pass := range []string{"first parse", "second parse"} {
+		req, j, err := s.parse(raw, false, nil)
+		status, kind := http.StatusOK, ""
+		if err != nil {
+			status, kind = errorClass(err)
+		}
+		if status != wstatus || kind != wkind {
+			t.Fatalf("%q (%s): status %d kind %q (%v), reference %d %q (%v)", raw, pass, status, kind, err, wstatus, wkind, werr)
+		}
+		req.Tree, req.TreeText = nil, ""
+		if !reflect.DeepEqual(req, wreq) {
+			t.Fatalf("%q (%s): decoded request %+v, reference %+v", raw, pass, req, wreq)
+		}
+		if err != nil {
+			continue
+		}
+		if j.treeHash != wj.treeHash || j.nodes != wj.nodes || j.cacheKey != wj.cacheKey || !reflect.DeepEqual(j.opts, wj.opts) {
+			t.Fatalf("%q (%s): job differs from the reference", raw, pass)
+		}
+		if pass == "second parse" && j.tree != nil {
+			t.Fatalf("%q: the second parse decoded the tree again instead of taking the alias", raw)
+		}
 	}
-	req.Tree, req.TreeText, wreq.Tree, wreq.TreeText = nil, "", nil, ""
-	if !reflect.DeepEqual(req, wreq) {
-		t.Fatalf("%q: decoded request %+v, reference %+v", raw, req, wreq)
-	}
-	if err == nil && (j.treeHash != wj.treeHash || j.cacheKey != wj.cacheKey || !reflect.DeepEqual(j.opts, wj.opts)) {
-		t.Fatalf("%q: job differs from the reference", raw)
-	}
-	return status
+	return wstatus
 }
 
 func newDecodeServer(tb testing.TB) *Server {
@@ -201,8 +213,8 @@ func TestParseDeepNesting(t *testing.T) {
 }
 
 // FuzzRequestDecode checks the split request decode against encoding/json
-// plus prepare on arbitrary bodies: the same Request fields, tree hash,
-// HTTP status and errors_total kind.
+// plus prepare on arbitrary bodies, cold and through the alias cache: the
+// same Request fields, tree hash, HTTP status and errors_total kind.
 func FuzzRequestDecode(f *testing.F) {
 	for _, seed := range []string{
 		`{"id":"a","tree":{"parent":[-1,0],"w":[1,2]},"p":2}`,

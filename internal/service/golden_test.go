@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strings"
 	"testing"
 
 	"treesched/internal/sched"
@@ -92,31 +93,75 @@ func goldenGrid(tb testing.TB) []goldenRequest {
 
 var goldenRequestID = regexp.MustCompile(`"request_id":"[^"]*",?`)
 
-// answerGoldenGrid answers every grid request twice on s — cold, then from
-// the response cache (timeline requests bypass the cache and recompute) —
-// and returns the SHA-256 of each response body with request_id removed.
+// answerGoldenGrid answers every grid request on s cold, then from the
+// response cache (timeline requests bypass the cache and recompute), and
+// returns the SHA-256 of each response body with request_id removed.
+// Three more passes must answer the same bytes, each through the alias
+// cache, which knows the tree's bytes from the second sighting on: warm
+// (the response cache answers, or the Precompute cache for a timeline),
+// after purging the response cache (a Precompute hit reschedules), and
+// after purging the response and Precompute caches too (the tree is
+// decoded from the request bytes after all).
 func answerGoldenGrid(tb testing.TB, s *Server) map[string]string {
 	tb.Helper()
 	h := s.Handler()
 	got := make(map[string]string)
-	for _, g := range goldenGrid(tb) {
-		for _, pass := range []string{"cold", "repeat"} {
+	grid := goldenGrid(tb)
+	for _, g := range grid {
+		answer := func(pass string) (digest, precompute string) {
 			rec := post(tb, h, g.path, g.body)
 			if rec.Code != http.StatusOK {
 				tb.Fatalf("%s (%s): status %d: %s", g.name, pass, rec.Code, rec.Body.String())
 			}
 			sum := sha256.Sum256(goldenRequestID.ReplaceAll(rec.Body.Bytes(), nil))
-			got[g.name+"/"+pass] = hex.EncodeToString(sum[:])
+			return hex.EncodeToString(sum[:]), rec.Header().Get("X-Precompute-Cache")
 		}
+		cold, _ := answer("cold")
+		repeat, _ := answer("repeat")
+		got[g.name+"/cold"], got[g.name+"/repeat"] = cold, repeat
+		warmPrecompute := "" // a response-cache hit schedules nothing
+		if g.path == "/v1/schedule?timeline=1" {
+			warmPrecompute = pcHit
+		}
+		for _, pass := range []struct {
+			name       string
+			purge      func()
+			want       string
+			precompute string // the X-Precompute-Cache header the pass must show
+		}{
+			{"warm", func() {}, repeat, warmPrecompute},
+			{"response cache purged", func() { s.cache.Purge() }, cold, pcHit},
+			{"both caches purged", func() { s.cache.Purge(); s.pcache.Purge() }, cold, pcMiss},
+		} {
+			pass.purge()
+			digest, precompute := answer(pass.name)
+			if digest != pass.want {
+				tb.Errorf("%s (%s): response digest %s, want %s", g.name, pass.name, digest, pass.want)
+			}
+			if precompute != pass.precompute {
+				tb.Errorf("%s (%s): X-Precompute-Cache %q, want %q", g.name, pass.name, precompute, pass.precompute)
+			}
+		}
+	}
+	// Each tree's bytes miss the alias cache once, on its first request;
+	// every other answer above skipped decode and hash.
+	trees := make(map[string]bool)
+	for _, g := range grid {
+		trees[strings.SplitN(g.name, "/", 2)[0]] = true
+	}
+	wantHits, wantMisses := int64(5*len(grid)-len(trees)), int64(len(trees))
+	if st := s.aliases.Stats(); st.Hits != wantHits || st.Misses != wantMisses {
+		tb.Errorf("alias cache: %d hits, %d misses; want %d, %d", st.Hits, st.Misses, wantHits, wantMisses)
 	}
 	return got
 }
 
 // TestGoldenResponses pins the wire bytes of the request grid: plain,
 // timeline and portfolio answers on uniform and heterogeneous machines,
-// cold and cached, must match the checked-in SHA-256 digests. The grid is
-// answered a second time with every race slot held, so one-lane and
-// many-lane races are pinned to the same bytes.
+// cold and cached, must match the checked-in SHA-256 digests, and so must
+// every answer through the alias cache. The grid is answered a second
+// time with every race slot held, so one-lane and many-lane races are
+// pinned to the same bytes.
 func TestGoldenResponses(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden response grid skipped in -short mode")

@@ -408,7 +408,7 @@ func (s *Server) answerBytes(ctx context.Context, arrival time.Time, raw []byte,
 		defer cancel()
 	}
 	j = jb
-	s.metrics.treeNodes.ObserveExemplar(int64(j.tree.Len()), rid)
+	s.metrics.treeNodes.ObserveExemplar(int64(j.nodes), rid)
 	// Stage boundary: the budget is re-checked between hash and cache so a
 	// request that spent its whole budget parsing stops here.
 	if ctx.Err() != nil {
@@ -419,7 +419,9 @@ func (s *Server) answerBytes(ctx context.Context, arrival time.Time, raw []byte,
 	if !timeline {
 		// One eviction-storm draw clears both caches: survivors must
 		// recompute their Precompute and reschedule, and the chaos suite
-		// asserts they stay byte-identical to an unfaulted run.
+		// asserts they stay byte-identical to an unfaulted run. The alias
+		// cache survives, so a survivor whose alias hits decodes its tree
+		// from the request bytes, and that path is held to the same bytes.
 		if (s.cache != nil || s.pcache != nil) && s.cfg.Chaos.At(chaos.SiteCache).Kind == chaos.Evict {
 			if s.cache != nil {
 				s.cache.Purge()

@@ -92,7 +92,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 		"Forest jobs rejected by admission.")
 	m.trees = obs.NewCounter("treeschedd_trees_scheduled_total",
 		"Trees scheduled (cache misses that ran the heuristics).")
-	// Both caches count their own hits, misses and residency; these
+	// Every cache counts its own hits, misses and residency; these
 	// families read the stats at scrape time (a disabled, nil cache
 	// reports zeros), so the request hot path pays nothing for them.
 	cacheHits := obs.NewFuncCounter("treeschedd_cache_hits_total",
@@ -129,6 +129,12 @@ func newServerMetrics(s *Server) *serverMetrics {
 	pcBytes := obs.NewGaugeFunc("treeschedd_precompute_cache_bytes",
 		"Resident bytes of the cross-request Precompute cache.",
 		func() float64 { return float64(s.pcache.Stats().Bytes) })
+	aliasHits := obs.NewFuncCounter("treeschedd_alias_cache_hits_total",
+		"Tree members whose raw bytes the alias cache knew, so they were neither decoded nor hashed.",
+		func() float64 { return float64(s.aliases.Stats().Hits) })
+	aliasMisses := obs.NewFuncCounter("treeschedd_alias_cache_misses_total",
+		"Tree members the alias cache did not know, decoded and hashed as usual.",
+		func() float64 { return float64(s.aliases.Stats().Misses) })
 
 	m.errors = obs.NewCounterVec("treeschedd_errors_total",
 		"Rejected requests and failed batch lines, by kind.", "kind", true)
@@ -238,7 +244,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	m.reg.Register(
 		m.requests, m.forestJobs, m.forestRejected, m.trees,
 		cacheHits, cacheMisses, cacheRatio, cacheEntries,
-		pcHits, pcMisses, pcEvictions, pcBytes, inflight,
+		pcHits, pcMisses, pcEvictions, pcBytes, aliasHits, aliasMisses, inflight,
 		m.errors, uptime,
 		m.latency, m.queueWait, m.treeNodes, m.peakMemory,
 		m.wins, m.candDur, m.forestRounds, m.forestBookRej,

@@ -219,11 +219,12 @@ func TestTraceOptIn(t *testing.T) {
 	checkSpanTree(t, resp.Trace, []string{"decode", "hash", "cache", "precompute", "schedule", "evaluate", "encode"})
 	checkCandidateSpans(t, resp)
 
+	// The tree's bytes repeat, so the alias cache supplies its hash.
 	presp := decodeResponse(t, postJSON(t, h, "/v1/portfolio?trace=1", Request{Tree: tr, Processors: 2}))
 	if presp.Error != "" {
 		t.Fatal(presp.Error)
 	}
-	checkSpanTree(t, presp.Trace, []string{"decode", "hash", "cache", "schedule", "evaluate", "encode"})
+	checkSpanTree(t, presp.Trace, []string{"decode", "hash_cached", "cache", "schedule", "evaluate", "encode"})
 	checkCandidateSpans(t, presp)
 	// Every frontier member is a candidate.
 	for _, id := range presp.Frontier {
@@ -237,7 +238,7 @@ func TestTraceOptIn(t *testing.T) {
 	if !cresp.Cached {
 		t.Fatal("expected cache hit")
 	}
-	checkSpanTree(t, cresp.Trace, []string{"decode", "hash", "cache", "encode"})
+	checkSpanTree(t, cresp.Trace, []string{"decode", "hash_cached", "cache", "encode"})
 
 	// Exact candidate spans carry the explored-node count as the value and
 	// it matches the explored_nodes field of the result.

@@ -47,12 +47,16 @@
 // rescheduling; each response costs one unit of the Config.CacheSize
 // budget. The per-tree scheduling context (sched.Precompute) is cached
 // across requests too, keyed by the canonical hash alone and charged its
-// bytes against Config.PrecomputeCacheBytes; both caches are instances of
-// internal/lru. Requests are size-limited (Config.MaxBodyBytes,
-// Config.MaxNodes) and malformed or oversized payloads are rejected with
-// JSON error objects. Responses are deterministic: identical requests
-// produce identical result sets whether computed or cached, concurrent or
-// not.
+// bytes against Config.PrecomputeCacheBytes. A third cache, the alias
+// cache, maps the SHA-256 of a tree member's raw bytes to that tree's hash
+// and node count, so a verbatim repeat is neither decoded nor hashed: it
+// is answered from the response cache, or scheduled from the Precompute
+// cache, and only when both miss is its tree decoded after all. All three
+// are instances of internal/lru. Requests are size-limited
+// (Config.MaxBodyBytes, Config.MaxNodes) and malformed or oversized
+// payloads are rejected with JSON error objects. Responses are
+// deterministic: identical requests produce identical result sets whether
+// computed or cached, concurrent or not.
 //
 // # Overload behavior
 //
@@ -86,6 +90,7 @@ import (
 	"treesched/internal/resilience"
 	"treesched/internal/resilience/chaos"
 	"treesched/internal/sched"
+	"treesched/internal/tree"
 )
 
 // Defaults for Config fields left zero.
@@ -149,8 +154,9 @@ type Config struct {
 	// Default: GOMAXPROCS.
 	Workers int
 	// CacheSize budgets the LRU response cache: each cached response
-	// costs one unit, so it is the number of responses held. 0 means
-	// DefaultCacheSize; negative disables caching.
+	// costs one unit, so it is the number of responses held. The alias
+	// cache holds as many tree members' bytes. 0 means DefaultCacheSize;
+	// negative disables both.
 	CacheSize int
 	// PrecomputeCacheBytes budgets the cross-request Precompute cache in
 	// bytes (per-tree scheduling context keyed by canonical tree hash).
@@ -296,7 +302,14 @@ type Server struct {
 	// requests: a repeat tree skips Liu's DP and the rank builds even when
 	// the response itself differs (other heuristics, objective, p,
 	// machine).
-	pcache  *sched.PrecomputeCache
+	pcache *sched.PrecomputeCache
+	// aliases maps the raw bytes of a tree member (their tree.AliasKey)
+	// to the hash and node count of the tree they decoded to, so a
+	// verbatim repeat skips decode and hash; aliasOf reads it for
+	// tree.DecodeEnvelopeAliased. Both are nil when the response cache is
+	// off.
+	aliases *lru.Cache[tree.Alias]
+	aliasOf tree.AliasLookup
 	metrics *serverMetrics
 	mux     *http.ServeMux
 	started time.Time
@@ -331,6 +344,8 @@ func New(cfg Config) *Server {
 	}
 	if cfg.CacheSize > 0 {
 		s.cache = lru.New(int64(cfg.CacheSize), func(*Response) int64 { return 1 })
+		s.aliases = lru.New(int64(cfg.CacheSize), func(tree.Alias) int64 { return 1 })
+		s.aliasOf = func(k tree.AliasKey) (tree.Alias, bool) { return s.aliases.Get(string(k[:])) }
 	}
 	if cfg.PrecomputeCacheBytes > 0 {
 		s.pcache = sched.NewPrecomputeCache(cfg.PrecomputeCacheBytes)

@@ -202,8 +202,10 @@ func errorClass(err error) (status int, kind string) {
 // the winner).
 type job struct {
 	req       Request
-	tree      *tree.Tree
+	tree      *tree.Tree // nil after an alias hit, until a worker decodes raw
+	raw       []byte     // the request bytes, kept after an alias hit
 	treeHash  string
+	nodes     int
 	opts      sched.Options
 	objective *portfolio.Objective
 	cacheKey  string
@@ -221,12 +223,14 @@ type job struct {
 
 // parse decodes one raw JSON request and resolves it into a runnable job.
 // The request's tree member is decoded straight from raw, under the
-// MaxNodes cap, and only the other members go through encoding/json. Every
-// failure is a *requestError (400, or 413 for a tree over MaxNodes); req
-// holds whatever was decoded before it.
+// MaxNodes cap, and only the other members go through encoding/json; a
+// member whose bytes the alias cache knows is not decoded at all, and the
+// job keeps raw in case a worker needs the tree after all. Every failure
+// is a *requestError (400, or 413 for a tree over MaxNodes); req holds
+// whatever was decoded before it.
 func (s *Server) parse(raw []byte, forcePortfolio bool, tr *obs.Trace) (req Request, j *job, err error) {
 	did := tr.Start("decode", obs.RootSpan)
-	carried, err := tree.DecodeEnvelope(raw, s.cfg.MaxNodes, &req)
+	carried, err := tree.DecodeEnvelopeAliased(raw, s.cfg.MaxNodes, &req, s.aliasOf)
 	tr.End(did)
 	if err != nil {
 		return req, nil, badRequest("invalid request: %v", err)
@@ -234,25 +238,29 @@ func (s *Server) parse(raw []byte, forcePortfolio bool, tr *obs.Trace) (req Requ
 	if req.TimeoutMS < 0 {
 		return req, nil, badRequest("timeout_ms must be >= 0, got %d", req.TimeoutMS)
 	}
-	t, err := carried.Tree()
+	m, err := carried.Member()
 	if err != nil {
 		if errors.Is(err, tree.ErrTooLarge) {
 			return req, nil, &requestError{status: http.StatusRequestEntityTooLarge, msg: err.Error()}
 		}
 		return req, nil, badRequest("%v", err)
 	}
-	if t.Len() == 0 {
+	if m.Tree != nil && m.Tree.Len() == 0 {
 		return req, nil, badRequest("tree is empty")
 	}
-	j, err = s.prepare(req, t, forcePortfolio, tr)
+	if j, err = s.prepare(req, m, forcePortfolio, tr); err == nil && m.Tree == nil {
+		j.raw = raw
+	}
 	return req, j, err
 }
 
 // prepare validates req against the server limits and resolves it, with
-// its decoded tree t, into a runnable job. forcePortfolio puts the job in
+// its tree member m, into a runnable job. forcePortfolio puts the job in
 // portfolio mode even without an explicit objective (the /v1/portfolio
-// endpoint). A non-nil tr records the canonical-hash stage.
-func (s *Server) prepare(req Request, t *tree.Tree, forcePortfolio bool, tr *obs.Trace) (*job, error) {
+// endpoint). A non-nil tr records the canonical-hash stage: "hash" for a
+// decoded tree, which then enters the alias cache under m.Key, and
+// "hash_cached" (value 1) for an alias hit, whose hash is the alias's.
+func (s *Server) prepare(req Request, m tree.Member, forcePortfolio bool, tr *obs.Trace) (*job, error) {
 	p := req.Processors
 	var mm *machine.Model
 	if req.Machine != "" {
@@ -302,10 +310,21 @@ func (s *Server) prepare(req Request, t *tree.Tree, forcePortfolio bool, tr *obs
 	if err := vopts.Validate(); err != nil {
 		return nil, badRequest("%v", err)
 	}
-	hid := tr.Start("hash", obs.RootSpan)
-	treeHash := t.CanonicalHash()
-	tr.End(hid)
-	j := &job{req: req, tree: t, treeHash: treeHash, opts: opts, objective: obj}
+	j := &job{req: req, tree: m.Tree, opts: opts, objective: obj}
+	if m.Tree == nil {
+		hid := tr.Start("hash_cached", obs.RootSpan)
+		tr.SetValue(hid, 1)
+		tr.End(hid)
+		j.treeHash, j.nodes = m.Alias.Hash, m.Alias.Nodes
+	} else {
+		hid := tr.Start("hash", obs.RootSpan)
+		j.treeHash = m.Tree.CanonicalHash()
+		tr.End(hid)
+		j.nodes = m.Tree.Len()
+		if m.Key != (tree.AliasKey{}) { // keyed only through s.aliasOf
+			s.aliases.Add(string(m.Key[:]), tree.Alias{Hash: j.treeHash, Nodes: j.nodes})
+		}
+	}
 	j.cacheKey = cacheKey(j.treeHash, opts, obj)
 	return j, nil
 }
@@ -318,6 +337,8 @@ func (s *Server) prepare(req Request, t *tree.Tree, forcePortfolio bool, tr *obs
 // "precompute_cached" span (value 1); a miss builds the context under the
 // usual "precompute" span and offers it to the cache. With the cache
 // disabled the context is built per request, as before this layer existed.
+// A miss after an alias hit decodes the tree from the request bytes first
+// (decodeAliased): the one path on which the request needs its tree.
 func (s *Server) precomputeFor(j *job, tr *obs.Trace) *sched.Precompute {
 	if s.pcache != nil {
 		if pc, ok := s.pcache.Get(j.treeHash); ok {
@@ -329,6 +350,9 @@ func (s *Server) precomputeFor(j *job, tr *obs.Trace) *sched.Precompute {
 		}
 		j.pcState = pcMiss
 	}
+	if j.tree == nil {
+		j.tree = s.decodeAliased(j, tr)
+	}
 	pid := tr.Start("precompute", obs.RootSpan)
 	pc := sched.NewPrecompute(j.tree)
 	tr.End(pid)
@@ -336,6 +360,28 @@ func (s *Server) precomputeFor(j *job, tr *obs.Trace) *sched.Precompute {
 		s.pcache.Add(j.treeHash, pc)
 	}
 	return pc
+}
+
+// decodeAliased decodes the tree of a job whose alias hit from the request
+// bytes it kept, under a "decode" span of its own. Those bytes decoded to
+// a tree of j.nodes nodes before, so a failure here is a broken invariant:
+// it panics, and safeRun answers it as an internal error.
+func (s *Server) decodeAliased(j *job, tr *obs.Trace) *tree.Tree {
+	did := tr.Start("decode", obs.RootSpan)
+	defer tr.End(did)
+	var req Request
+	carried, err := tree.DecodeEnvelope(j.raw, s.cfg.MaxNodes, &req)
+	var t *tree.Tree
+	if err == nil {
+		t, err = carried.Tree()
+	}
+	if err == nil && t.Len() != j.nodes {
+		err = fmt.Errorf("decoded %d nodes", t.Len())
+	}
+	if err != nil {
+		panic(fmt.Sprintf("aliased tree %s of %d nodes does not decode: %v", j.treeHash, j.nodes, err))
+	}
+	return t
 }
 
 // resolveSelection turns the wire-level heuristic selection into a
@@ -619,7 +665,7 @@ acquire:
 	resp := &Response{
 		ID:         j.req.ID,
 		TreeHash:   j.treeHash,
-		Nodes:      j.tree.Len(),
+		Nodes:      j.nodes,
 		Processors: res.Processors,
 		Bounds:     &Bounds{MakespanLB: res.MakespanLB, MemorySeq: res.MemorySeq},
 		Results:    make([]HeuristicResult, 0, len(res.Candidates)),

@@ -1,33 +1,80 @@
 package tree
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Carried is the tree a request envelope carries, as DecodeEnvelope found
 // it: the outcome of the envelope's last "tree" member and of its last
 // "tree_text" member.
 type Carried struct {
-	json, text         bool // the member is present: a tree object, a non-empty string
-	jsonTree, textTree *Tree
-	jsonErr, textErr   error
+	json, text carriedMember
 }
 
-// Tree returns the carried tree. Exactly one of the two members must be
-// present; if its tree failed to decode, that error is returned (it wraps
-// ErrTooLarge when the tree exceeds the node cap).
-func (c Carried) Tree() (*Tree, error) {
+// carriedMember is the outcome of the last member of one form.
+type carriedMember struct {
+	set bool // the member is present: a tree object, a non-empty string
+	m   Member
+	err error
+}
+
+// Member is the tree member a request envelope carries.
+type Member struct {
+	// Tree is the decoded tree; nil when the member's alias hit and its
+	// decode was skipped.
+	Tree *Tree
+	// Alias is what the lookup remembered for the member on a hit.
+	Alias Alias
+	// Key is the member's alias key; zero when no lookup was given.
+	Key AliasKey
+}
+
+// Alias is what an alias lookup remembers of a tree member it saw
+// decode: the canonical hash and the node count of the member's tree.
+type Alias struct {
+	Hash  string
+	Nodes int
+}
+
+// AliasKey names a tree member by its bytes: the SHA-256 of the member's
+// form (JSON or text) and of its raw value bytes as the envelope holds
+// them. Equal keys mean equal bytes in the same form, and those decode to
+// the same tree, so the key of a member that once decoded can stand for
+// its tree. SHA-256 is what makes "equal keys mean equal bytes" hold
+// against clients choosing their bytes: a faster unkeyed hash would let
+// one client forge a collision and be answered for another's tree.
+type AliasKey [sha256.Size]byte
+
+// AliasLookup returns what it remembers for a key, if anything.
+type AliasLookup func(AliasKey) (Alias, bool)
+
+// Member returns the carried tree member. Exactly one of the two members
+// must be present; if its tree failed to decode, that error is returned
+// (it wraps ErrTooLarge when the tree exceeds the node cap).
+func (c Carried) Member() (Member, error) {
 	switch {
-	case c.json && c.text:
-		return nil, errors.New("exactly one of tree and tree_text must be set, got both")
-	case c.json:
-		return c.jsonTree, c.jsonErr
-	case c.text:
-		return c.textTree, c.textErr
+	case c.json.set && c.text.set:
+		return Member{}, errors.New("exactly one of tree and tree_text must be set, got both")
+	case c.json.set:
+		return c.json.m, c.json.err
+	case c.text.set:
+		return c.text.m, c.text.err
 	}
-	return nil, errors.New("one of tree and tree_text is required")
+	return Member{}, errors.New("one of tree and tree_text is required")
+}
+
+// Tree returns the carried member's tree, as Member. An envelope decoded
+// without a lookup always decodes its member, so the tree is nil exactly
+// when the error is not.
+func (c Carried) Tree() (*Tree, error) {
+	m, err := c.Member()
+	return m.Tree, err
 }
 
 // DecodeEnvelope decodes a request envelope: a JSON object that carries a
@@ -46,9 +93,22 @@ func (c Carried) Tree() (*Tree, error) {
 // that member); a non-object tree member, or a non-string tree_text member,
 // is left to encoding/json, and fails there. The one difference: a tree
 // member with an array over maxNodes elements is reported as too large by
-// Carried.Tree, without being validated as a tree. tree_text failures are
-// reported there too, as DecodeMax would report them.
+// Carried.Member, without being validated as a tree. tree_text failures
+// are reported there too, as DecodeMax would report them.
 func DecodeEnvelope(data []byte, maxNodes int, v any) (Carried, error) {
+	return DecodeEnvelopeAliased(data, maxNodes, v, nil)
+}
+
+// DecodeEnvelopeAliased is DecodeEnvelope with an alias lookup. Each tree
+// or tree_text member is first keyed by its raw bytes (AliasKey), its end
+// found from strings, escapes and brackets alone. When lookup remembers
+// the key, and the tree it names has at most maxNodes nodes, that alias
+// is the member's outcome and the member is not decoded; otherwise the
+// member decodes as usual and its Member carries the key, so the caller
+// can remember the tree once it knows the tree's hash. Outcomes are kept
+// per member, so Carried.Member applies the both, neither, last-wins and
+// null rules to hits and decodes alike. A nil lookup is DecodeEnvelope.
+func DecodeEnvelopeAliased(data []byte, maxNodes int, v any, lookup AliasLookup) (Carried, error) {
 	s := scanner{b: data}
 	s.ws()
 	if s.peek() != '{' {
@@ -69,9 +129,15 @@ func DecodeEnvelope(data []byte, maxNodes int, v any) (Carried, error) {
 		val := s.i
 		switch c0 := s.peek(); {
 		case c0 == '{' && keyIs(key, esc, "tree"):
+			m, hit := s.alias(formJSON, lookup, maxNodes)
+			if hit {
+				c.json = carriedMember{set: true, m: m}
+				break
+			}
 			t, err := decodeJSON(&s, 2, maxNodes)
 			if err == nil || errors.Is(err, ErrTooLarge) {
-				c.json, c.jsonTree, c.jsonErr = true, t, err
+				m.Tree = t
+				c.json = carriedMember{set: true, m: m, err: err}
 				break
 			}
 			s.i = val
@@ -85,11 +151,16 @@ func DecodeEnvelope(data []byte, maxNodes int, v any) (Carried, error) {
 			if err := s.literal("null"); err != nil {
 				return Carried{}, err
 			}
-			c.json, c.jsonTree, c.jsonErr = false, nil, nil
+			c.json = carriedMember{}
 		case c0 == '"' && keyIs(key, esc, "tree_text"):
 			if s.i+1 < len(data) && data[s.i+1] == '"' {
 				s.i += 2
-				c.text, c.textTree, c.textErr = false, nil, nil
+				c.text = carriedMember{}
+				break
+			}
+			m, hit := s.alias(formText, lookup, maxNodes)
+			if hit {
+				c.text = carriedMember{set: true, m: m}
 				break
 			}
 			l := textLines{b: data, i: s.i + 1, quoted: true}
@@ -103,7 +174,8 @@ func DecodeEnvelope(data []byte, maxNodes int, v any) (Carried, error) {
 			} else {
 				s.i = l.i
 			}
-			c.text, c.textTree, c.textErr = true, t, err
+			m.Tree = t
+			c.text = carriedMember{set: true, m: m, err: err}
 		default:
 			if err := s.skipValue(2); err != nil {
 				return Carried{}, err
@@ -127,6 +199,105 @@ func DecodeEnvelope(data []byte, maxNodes int, v any) (Carried, error) {
 		return Carried{}, treeErr
 	}
 	return c, json.Unmarshal(append(rest, '}'), v)
+}
+
+// formJSON and formText are the first bytes an AliasKey hashes: the form
+// of the member, so equal bytes in the two forms never share a key.
+var formJSON, formText = []byte{'j'}, []byte{'t'}
+
+// alias keys the tree member value at the cursor, of the given form, and
+// looks the key up. It reports a hit only when lookup remembers a tree of
+// at most maxNodes nodes, and then moves the cursor past the value; a
+// larger tree decodes as usual, to fail as too large. Without a lookup,
+// or for a value that does not end (it fails to decode anyway), the
+// Member is zero.
+func (s *scanner) alias(form []byte, lookup AliasLookup, maxNodes int) (Member, bool) {
+	if lookup == nil {
+		return Member{}, false
+	}
+	end := skim(s.b, s.i)
+	if end < 0 {
+		return Member{}, false
+	}
+	var m Member
+	h := sha256.New()
+	h.Write(form)
+	h.Write(s.b[s.i:end])
+	h.Sum(m.Key[:0])
+	a, ok := lookup(m.Key)
+	if !ok || a.Nodes > maxNodes {
+		return m, false
+	}
+	m.Alias = a
+	s.i = end
+	return m, true
+}
+
+// skim returns the end of the object or string that opens at b[i], found
+// from strings, escapes and brackets alone, or -1 if it does not end.
+// Nothing else is checked, and nothing needs to be: a key is remembered
+// only for bytes that decoded, and a valid value ends where skim says.
+// Between brackets and strings it steps eight bytes at a time.
+func skim(b []byte, i int) int {
+	if b[i] == '"' {
+		return skimString(b, i)
+	}
+	depth := 0
+	for i < len(b) {
+		if i+8 <= len(b) {
+			m := structural(binary.LittleEndian.Uint64(b[i:]))
+			if m == 0 {
+				i += 8
+				continue
+			}
+			i += bits.TrailingZeros64(m) / 8
+		}
+		switch b[i] {
+		case '{', '[':
+			depth++
+		case '}', ']':
+			if depth--; depth == 0 {
+				return i + 1
+			}
+		case '"':
+			if i = skimString(b, i); i < 0 {
+				return -1
+			}
+			continue
+		}
+		i++
+	}
+	return -1
+}
+
+// structural marks the high bit of each byte of the little-endian word w
+// that may be a bracket or a quote; the lowest mark is exact. Setting bit
+// 5 folds '[' onto '{' and ']' onto '}'; it also folds the control byte
+// 0x02 onto '"', which skim then steps over.
+func structural(w uint64) uint64 {
+	const ones, highs = 0x0101010101010101, 0x8080808080808080
+	zero := func(v uint64) uint64 { return (v - ones) &^ v & highs }
+	x := w | 0x20*ones
+	return zero(x^'{'*ones) | zero(x^'}'*ones) | zero(x^'"'*ones)
+}
+
+// skimString returns the end of the string that opens at b[i]: one past
+// the first quote after it that no odd run of backslashes escapes.
+func skimString(b []byte, i int) int {
+	for j := i + 1; ; j++ {
+		k := bytes.IndexByte(b[j:], '"')
+		if k < 0 {
+			return -1
+		}
+		j += k
+		n := 0
+		for b[j-1-n] == '\\' { // stops at b[i], the opening quote
+			n++
+		}
+		if n%2 == 0 {
+			return j + 1
+		}
+	}
 }
 
 // jsonError prefixes a failure of the JSON tree form; tree validation
