@@ -141,12 +141,20 @@ func TestEvaluationCollectionFacade(t *testing.T) {
 
 func TestSplitSubtreesFacade(t *testing.T) {
 	tr := treesched.ForkTree(2, 6)
-	sp := treesched.SplitSubtrees(tr, 2)
+	sp, err := treesched.SplitSubtrees(tr, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(sp.SubtreeRoots) == 0 {
 		t.Fatal("no subtrees")
 	}
 	if sp.PredictedMakespan <= 0 {
 		t.Fatal("no predicted makespan")
+	}
+	for _, p := range []int{0, -1} {
+		if _, err := treesched.SplitSubtrees(tr, p); err == nil {
+			t.Errorf("SplitSubtrees(p=%d) accepted a machine without processors", p)
+		}
 	}
 }
 

@@ -292,7 +292,9 @@ func BenchmarkSplitSubtrees(b *testing.B) {
 		tree.WeightSpec{WMin: 1, WMax: 9, NMin: 0, NMax: 9, FMin: 1, FMax: 99})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sched.SplitSubtrees(t, 32)
+		if _, err := sched.SplitSubtrees(t, 32); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

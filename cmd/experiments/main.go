@@ -145,8 +145,14 @@ func runSplitAblation(insts []dataset.Instance) {
 	var ratios []float64
 	for _, in := range insts {
 		for _, p := range []int{4, 16} {
-			opt := sched.SplitSubtrees(in.Tree, p)
-			naive := sched.SplitSubtreesNaive(in.Tree, p)
+			opt, err := sched.SplitSubtrees(in.Tree, p)
+			if err != nil {
+				fatal(err)
+			}
+			naive, err := sched.SplitSubtreesNaive(in.Tree, p)
+			if err != nil {
+				fatal(err)
+			}
 			ratios = append(ratios, naive.PredictedMakespan/opt.PredictedMakespan)
 		}
 	}

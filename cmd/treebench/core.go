@@ -123,6 +123,8 @@ func coreMain(scale string, seed int64, machSpec, out, baseline string, maxratio
 	aliases := lru.New(1<<20, func(tree.Alias) int64 { return 1 })
 	aliasOf := func(k tree.AliasKey) (tree.Alias, bool) { return aliases.Get(string(k[:])) }
 
+	pairOpts := sched.Options{Processors: coreProcs,
+		Heuristics: []sched.HeuristicID{sched.IDParSubtrees, sched.IDParSubtreesOptim}}
 	var schedOps, schedNs float64
 	for _, fam := range families {
 		for _, n := range sizes {
@@ -175,6 +177,18 @@ func coreMain(scale string, seed int64, machSpec, out, baseline string, maxratio
 				{"BestPostOrder", func() { traversal.BestPostOrder(t) }},
 				{"OptimalTraversal", func() { traversal.Optimal(t) }},
 				{"ParSubtrees", func() { mustRun(pc.ParSubtrees(coreProcs)) }},
+				{"ParSubtreesOptim", func() { mustRun(pc.ParSubtreesOptim(coreProcs)) }},
+				// Both variants through one selection, as a race of the
+				// paper's four heuristics runs them.
+				{"ParSubtrees/pair", func() {
+					hs, _, err := pairOpts.SelectPre(pc)
+					if err != nil {
+						fatal(err)
+					}
+					for _, h := range hs {
+						mustRun(h.Run(t, coreProcs))
+					}
+				}},
 				{"ParInnerFirst", func() { mustRun(pc.ParInnerFirst(coreProcs)) }},
 				{"ParDeepestFirst", func() { mustRun(pc.ParDeepestFirst(coreProcs)) }},
 				{"Sequential", func() { mustRun(sched.SequentialSchedule(t, pc.Order())) }},

@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestForEachCoversAllIndices(t *testing.T) {
@@ -23,6 +24,11 @@ func TestForEachActuallyParallel(t *testing.T) {
 		t.Skip("single CPU")
 	}
 	var concurrent, peak int32
+	// Each call waits until two calls have overlapped, or until a shared
+	// deadline, so a loaded machine that starts the second worker late
+	// cannot make a parallel ForEach look sequential, and a sequential one
+	// still fails within the deadline.
+	deadline := time.Now().Add(5 * time.Second)
 	ForEach(64, func(i int) {
 		c := atomic.AddInt32(&concurrent, 1)
 		for {
@@ -31,9 +37,8 @@ func TestForEachActuallyParallel(t *testing.T) {
 				break
 			}
 		}
-		// Busy loop long enough for workers to overlap.
-		for j := 0; j < 100000; j++ {
-			_ = j * j
+		for atomic.LoadInt32(&peak) < 2 && time.Now().Before(deadline) {
+			runtime.Gosched()
 		}
 		atomic.AddInt32(&concurrent, -1)
 	})

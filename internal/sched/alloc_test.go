@@ -40,6 +40,33 @@ func TestAllocsListSchedule(t *testing.T) {
 	}
 }
 
+// TestAllocsParSubtrees pins the pooling of both ParSubtrees variants: on
+// a warm pool and a warm Precompute, a schedule costs its result (the
+// Schedule struct and its two slices) and its Splitting (two slices) — at
+// most 10 allocations each.
+func TestAllocsParSubtrees(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are distorted under the race detector")
+	}
+	pc := NewPrecompute(allocTree(13, 2000))
+	for _, v := range []struct {
+		name string
+		run  func(p int) (*Schedule, error)
+	}{{"ParSubtrees", pc.ParSubtrees}, {"ParSubtreesOptim", pc.ParSubtreesOptim}} {
+		if _, err := v.run(8); err != nil { // warm pools, subtree weights, postorder index
+			t.Fatal(err)
+		}
+		got := testing.AllocsPerRun(20, func() {
+			if _, err := v.run(8); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > 10 {
+			t.Errorf("%s allocates %.1f/op on a warm pool, want <= 10", v.name, got)
+		}
+	}
+}
+
 // TestAllocsBestPostOrder: the traversal allocates only the returned
 // order on a warm pool.
 func TestAllocsBestPostOrder(t *testing.T) {

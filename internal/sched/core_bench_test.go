@@ -46,6 +46,33 @@ func BenchmarkCoreParSubtrees(b *testing.B) {
 	}
 }
 
+func BenchmarkCoreParSubtreesOptim(b *testing.B) {
+	pc, p := benchTreeAndPC(b)
+	for i := 0; i < b.N; i++ {
+		if _, err := pc.ParSubtreesOptim(p); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkCoreParSubtreesPair runs both ParSubtrees variants through one
+// selection, as a portfolio race of the paper's four heuristics does.
+func BenchmarkCoreParSubtreesPair(b *testing.B) {
+	pc, p := benchTreeAndPC(b)
+	opts := Options{Processors: p, Heuristics: []HeuristicID{IDParSubtrees, IDParSubtreesOptim}}
+	for i := 0; i < b.N; i++ {
+		hs, _, err := opts.SelectPre(pc)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, h := range hs {
+			if _, err := h.Run(pc.Tree(), p); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 func BenchmarkCoreMemCappedBooking(b *testing.B) {
 	pc, p := benchTreeAndPC(b)
 	cap := 2 * pc.MSeq()

@@ -21,7 +21,7 @@ type Heuristic struct {
 func Heuristics() []Heuristic {
 	hs := make([]Heuristic, 0, 4)
 	for _, id := range PaperHeuristics() {
-		hs = append(hs, Options{}.heuristic(id, nil))
+		hs = append(hs, Options{}.heuristic(id, nil, nil))
 	}
 	return hs
 }
@@ -39,5 +39,5 @@ func ByName(name string) (Heuristic, bool) {
 	if err != nil || id == IDMemCapped || id == IDMemCappedBooking || id == IDAuto || id == IDExact {
 		return Heuristic{}, false
 	}
-	return Options{}.heuristic(id, nil), true
+	return Options{}.heuristic(id, nil, nil), true
 }

@@ -139,8 +139,14 @@ func TestSplitSubtreesOptimalNeverWorseThanNaive(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		tr := randomTree(rng, 2+rng.Intn(200))
 		for _, p := range []int{2, 4, 8} {
-			opt := sched.SplitSubtrees(tr, p)
-			naive := sched.SplitSubtreesNaive(tr, p)
+			opt, err := sched.SplitSubtrees(tr, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			naive, err := sched.SplitSubtreesNaive(tr, p)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if opt.PredictedMakespan > naive.PredictedMakespan+1e-9 {
 				t.Fatalf("optimal splitting %g worse than naive %g (p=%d)",
 					opt.PredictedMakespan, naive.PredictedMakespan, p)
@@ -160,7 +166,10 @@ func TestSplitSubtreesOptimalNeverWorseThanNaive(t *testing.T) {
 func TestSplitSubtreesNaiveStructure(t *testing.T) {
 	rng := rand.New(rand.NewSource(84))
 	tr := randomTree(rng, 150)
-	sp := sched.SplitSubtreesNaive(tr, 4)
+	sp, err := sched.SplitSubtreesNaive(tr, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
 	seen := make(map[int]bool)
 	for _, v := range sp.SeqNodes {
 		seen[v] = true

@@ -3,6 +3,7 @@ package sched
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -201,7 +202,7 @@ func (o Options) Select() ([]Heuristic, error) {
 	ids := o.heuristicIDs()
 	hs := make([]Heuristic, 0, len(ids))
 	for _, id := range ids {
-		hs = append(hs, o.heuristic(id, nil))
+		hs = append(hs, o.heuristic(id, nil, nil))
 	}
 	return hs, nil
 }
@@ -224,9 +225,15 @@ func (o Options) SelectPre(pc *Precompute) ([]Heuristic, int64, error) {
 		return nil, 0, err
 	}
 	ids := o.heuristicIDs()
+	// Both ParSubtrees variants split the tree the same way (paper Alg. 2),
+	// so a selection that holds either shares one splitting per p.
+	var share *splitShare
+	if slices.Contains(ids, IDParSubtrees) || slices.Contains(ids, IDParSubtreesOptim) {
+		share = new(splitShare)
+	}
 	hs := make([]Heuristic, 0, len(ids))
 	for _, id := range ids {
-		hs = append(hs, o.heuristic(id, pc))
+		hs = append(hs, o.heuristic(id, pc, share))
 	}
 	return hs, pc.MSeq(), nil
 }
@@ -238,11 +245,12 @@ func (o Options) heuristicIDs() []HeuristicID {
 	return o.Heuristics
 }
 
-// heuristic binds id to pc (nil: a fresh Precompute per Run call). The
-// contract of SelectFor/SelectPre is that the bound heuristics only run
-// on pc's tree; passing any other tree is rejected rather than silently
-// scheduling with the wrong precompute.
-func (o Options) heuristic(id HeuristicID, pc *Precompute) Heuristic {
+// heuristic binds id to pc (nil: a fresh Precompute per Run call) and to
+// the selection's splitting share (nil with pc nil). The contract of
+// SelectFor/SelectPre is that the bound heuristics only run on pc's tree;
+// passing any other tree is rejected rather than silently scheduling with
+// the wrong precompute.
+func (o Options) heuristic(id HeuristicID, pc *Precompute, share *splitShare) Heuristic {
 	factor := o.MemCapFactor
 	runOn := func(t *tree.Tree, m *machine.Model) (*Schedule, error) {
 		ctx := pc
@@ -251,7 +259,7 @@ func (o Options) heuristic(id HeuristicID, pc *Precompute) Heuristic {
 		} else if t != ctx.t {
 			return nil, fmt.Errorf("sched: heuristic %s was selected for a different tree (SelectFor binds its heuristics to one tree)", id)
 		}
-		return ctx.RunOn(id, m, factor)
+		return ctx.runOn(id, m, factor, share)
 	}
 	return Heuristic{ID: id, Name: id.String(),
 		Run: func(t *tree.Tree, p int) (*Schedule, error) {

@@ -132,7 +132,7 @@ func (pc *Precompute) FuturePeak() []int64 {
 	return pc.futurePeak
 }
 
-// subtreeW caches t.SubtreeW for the splitting passes of both ParSubtrees
+// subtreeW caches t.SubtreeW for the splitting of both ParSubtrees
 // variants.
 func (pc *Precompute) subtreeW() []float64 {
 	pc.subtreeWOnce.Do(func() { pc.subtreeWs = pc.t.SubtreeW() })
@@ -287,11 +287,17 @@ func (pc *Precompute) Run(id HeuristicID, p int, memCapFactor float64) (*Schedul
 // heterogeneous model processor picks and execution times are
 // speed-aware (the sequential baselines run on the fastest processor).
 func (pc *Precompute) RunOn(id HeuristicID, m *machine.Model, memCapFactor float64) (*Schedule, error) {
+	return pc.runOn(id, m, memCapFactor, nil)
+}
+
+// runOn is RunOn with the ParSubtrees splitting taken from share (nil:
+// split on this call).
+func (pc *Precompute) runOn(id HeuristicID, m *machine.Model, memCapFactor float64, share *splitShare) (*Schedule, error) {
 	switch id {
 	case IDParSubtrees:
-		return pc.ParSubtreesOn(m)
+		return parSubtrees(pc, m, false, share)
 	case IDParSubtreesOptim:
-		return pc.ParSubtreesOptimOn(m)
+		return parSubtrees(pc, m, true, share)
 	case IDParInnerFirst:
 		return pc.ParInnerFirstOn(m)
 	case IDParDeepestFirst:

@@ -76,7 +76,10 @@ func TestQuickSplittingCoversTree(t *testing.T) {
 	f := func(seed int64, size uint8, pRaw uint8) bool {
 		tr := quickTree(seed, size)
 		p := 1 + int(pRaw)%16
-		sp := sched.SplitSubtrees(tr, p)
+		sp, err := sched.SplitSubtrees(tr, p)
+		if err != nil {
+			return false
+		}
 		count := len(sp.SeqNodes)
 		for _, r := range sp.SubtreeRoots {
 			count += len(tr.SubtreeNodes(r))

@@ -123,7 +123,10 @@ func TestParSubtreesMatchesPredictedMakespan(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		tr := randomTree(rng, 2+rng.Intn(150))
 		for _, p := range []int{2, 4, 8} {
-			sp := sched.SplitSubtrees(tr, p)
+			sp, err := sched.SplitSubtrees(tr, p)
+			if err != nil {
+				t.Fatal(err)
+			}
 			s, err := sched.ParSubtrees(tr, p)
 			if err != nil {
 				t.Fatal(err)
@@ -139,7 +142,10 @@ func TestSplitSubtreesDisjointMaximal(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
 		tr := randomTree(rng, 2+rng.Intn(120))
-		sp := sched.SplitSubtrees(tr, 4)
+		sp, err := sched.SplitSubtrees(tr, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
 		seen := make(map[int]bool)
 		inSeq := make(map[int]bool)
 		for _, v := range sp.SeqNodes {
@@ -169,7 +175,10 @@ func TestSplitSubtreesNeverWorseThanSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	for trial := 0; trial < 30; trial++ {
 		tr := randomTree(rng, 2+rng.Intn(120))
-		sp := sched.SplitSubtrees(tr, 4)
+		sp, err := sched.SplitSubtrees(tr, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if sp.PredictedMakespan > tr.TotalW()+1e-9 {
 			t.Fatalf("splitting cost %g worse than sequential %g", sp.PredictedMakespan, tr.TotalW())
 		}
@@ -385,6 +394,40 @@ func TestInvalidProcessorCount(t *testing.T) {
 	}
 	if _, err := sched.MemCapped(tr, 0, 100); err == nil {
 		t.Errorf("MemCapped accepted p=0")
+	}
+}
+
+// TestSplitSubtreesRejectsNoProcessors: both splittings reject p < 1 with
+// the schedulers' error instead of indexing an empty queue, on an empty,
+// a single-node and a larger tree.
+func TestSplitSubtreesRejectsNoProcessors(t *testing.T) {
+	trees := []*tree.Tree{
+		tree.MustNew(nil, nil, nil, nil),
+		tree.MustNew([]int{tree.None}, []float64{1}, []int64{0}, []int64{1}),
+		randomTree(rand.New(rand.NewSource(9)), 40),
+	}
+	splits := []struct {
+		name  string
+		split func(*tree.Tree, int) (sched.Splitting, error)
+	}{
+		{"SplitSubtrees", sched.SplitSubtrees},
+		{"SplitSubtreesNaive", sched.SplitSubtreesNaive},
+	}
+	for _, sp := range splits {
+		for _, p := range []int{0, -1} {
+			for _, tr := range trees {
+				got, err := sp.split(tr, p)
+				if err == nil || !strings.Contains(err.Error(), "at least one processor") {
+					t.Errorf("%s(n=%d, p=%d) error = %v, want the processor-count error", sp.name, tr.Len(), p, err)
+				}
+				if got.SubtreeRoots != nil || got.SeqNodes != nil || got.PredictedMakespan != 0 {
+					t.Errorf("%s(n=%d, p=%d) returned %+v with its error", sp.name, tr.Len(), p, got)
+				}
+			}
+		}
+		if _, err := sp.split(trees[2], 1); err != nil {
+			t.Errorf("%s(p=1): %v", sp.name, err)
+		}
 	}
 }
 

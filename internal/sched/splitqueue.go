@@ -148,15 +148,18 @@ func (h minKeyHeap) siftDown(i int) {
 // access to the sum of the k heaviest subtree weights, so that the cost
 // C_max(s) of every candidate splitting is evaluated in O(k + log n). It
 // maintains the k largest keys in a min-heap (`top`) and the remainder in a
-// max-heap (`rest`); PopMax always removes from `top`. Queues are recycled
-// through a pool — SplitSubtrees runs twice per ParSubtrees call and the
-// portfolio race runs ParSubtrees twice per tree.
+// max-heap (`rest`); the maximum is always in `top`. Queues are recycled
+// through a pool, together with the splitting pass's own scratch (its pop
+// record and a per-node mark).
 type splitQueue struct {
 	k      int
 	top    minKeyHeap
 	rest   maxKeyHeap
 	sumTop float64 // sum of W over top
 	sumAll float64 // sum of W over top and rest
+
+	pops []int  // splitSubtreesW's pop record
+	mark []bool // all false between uses (see marks)
 }
 
 var splitQueuePool = sync.Pool{New: func() any { return new(splitQueue) }}
@@ -173,6 +176,16 @@ func newSplitQueue(k int) *splitQueue {
 
 // release returns the queue's buffers to the pool.
 func (q *splitQueue) release() { splitQueuePool.Put(q) }
+
+// marks returns a per-node flag array of length n, all false; the caller
+// must clear every flag it sets before release.
+func (q *splitQueue) marks(n int) []bool {
+	if cap(q.mark) < n {
+		q.mark = make([]bool, n)
+	}
+	q.mark = q.mark[:n]
+	return q.mark
+}
 
 func (q *splitQueue) Len() int { return len(q.top) + len(q.rest) }
 
@@ -202,28 +215,37 @@ func (q *splitQueue) Push(x splitKey) {
 	q.rest.push(x)
 }
 
-// Max returns the globally heaviest root without removing it.
-// Cost: O(k) scan of the top heap.
-func (q *splitQueue) Max() splitKey {
-	best := 0
-	for i := 1; i < len(q.top); i++ {
-		if q.top[i].greater(q.top[best]) {
-			best = i
-		}
+// sumTopButOne returns the total subtree weight of the k-1 heaviest
+// queued roots, or of all of them when fewer than k are queued.
+func (q *splitQueue) sumTopButOne() float64 {
+	if len(q.top) < q.k {
+		return q.sumTop
 	}
-	return q.top[best]
+	return q.sumTop - q.top[0].W
 }
 
-// PopMax removes and returns the globally heaviest root, refilling top from
-// rest to keep the k-largest invariant.
-func (q *splitQueue) PopMax() splitKey {
+// maxIndex returns the index in top of the globally heaviest root.
+// Cost: O(k) scan of the top heap.
+func (q *splitQueue) maxIndex() int {
 	best := 0
 	for i := 1; i < len(q.top); i++ {
 		if q.top[i].greater(q.top[best]) {
 			best = i
 		}
 	}
-	x := q.top.remove(best)
+	return best
+}
+
+// Max returns the globally heaviest root without removing it.
+func (q *splitQueue) Max() splitKey { return q.top[q.maxIndex()] }
+
+// PopMax removes and returns the globally heaviest root.
+func (q *splitQueue) PopMax() splitKey { return q.removeTop(q.maxIndex()) }
+
+// removeTop removes and returns top[i], refilling top from rest to keep
+// the k-largest invariant.
+func (q *splitQueue) removeTop(i int) splitKey {
+	x := q.top.remove(i)
 	q.sumTop -= x.W
 	q.sumAll -= x.W
 	if len(q.rest) > 0 {
@@ -234,12 +256,14 @@ func (q *splitQueue) PopMax() splitKey {
 	return x
 }
 
-// Drain returns all queued roots ordered heaviest-first and empties the
-// queue.
-func (q *splitQueue) Drain() []splitKey {
-	out := make([]splitKey, 0, q.Len())
-	for q.Len() > 0 {
-		out = append(out, q.PopMax())
+// appendIDs appends the ids of all queued roots to dst, in no particular
+// order.
+func (q *splitQueue) appendIDs(dst []int) []int {
+	for _, x := range q.top {
+		dst = append(dst, x.id)
 	}
-	return out
+	for _, x := range q.rest {
+		dst = append(dst, x.id)
+	}
+	return dst
 }

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+
+	"treesched/internal/tree"
 )
 
 // refQueue is a naive reference implementation of splitQueue.
@@ -86,21 +88,38 @@ func TestSplitQueueAgainstReference(t *testing.T) {
 	}
 }
 
-func TestSplitQueueDrainOrdersHeaviestFirst(t *testing.T) {
+// TestSplitQueueRootsSortHeaviestFirst: the queued ids, sorted by
+// sortHeaviestFirst, come out in exactly the order repeated PopMax calls
+// would pop them — the order of Splitting.SubtreeRoots — with W and w ties.
+func TestSplitQueueRootsSortHeaviestFirst(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	q := newSplitQueue(3)
-	for i := 0; i < 64; i++ {
-		q.Push(splitKey{W: rng.Float64() * 100, w: rng.Float64(), id: i})
+	const n = 64
+	par := make([]int, n)
+	ws := make([]float64, n)
+	for i := range par {
+		par[i] = i - 1 // a chain; only the weights matter here
+		ws[i] = float64(rng.Intn(4))
 	}
-	out := q.Drain()
-	for i := 1; i < len(out); i++ {
-		if out[i].greater(out[i-1]) {
-			t.Fatalf("Drain not ordered at %d", i)
+	tr := tree.MustNew(par, ws, make([]int64, n), make([]int64, n))
+	W := make([]float64, n)
+	for i := range W {
+		W[i] = float64(rng.Intn(8))
+	}
+	q := newSplitQueue(3)
+	for i := 0; i < n; i++ {
+		q.Push(splitKey{W: W[i], w: ws[i], id: i})
+	}
+	got := q.appendIDs(nil)
+	if len(got) != n {
+		t.Fatalf("appendIDs returned %d of %d ids", len(got), n)
+	}
+	sortHeaviestFirst(got, tr, W)
+	for i := 0; q.Len() > 0; i++ {
+		if want := q.PopMax().id; got[i] != want {
+			t.Fatalf("position %d: sorted id %d, PopMax %d", i, got[i], want)
 		}
 	}
-	if q.Len() != 0 {
-		t.Fatalf("Drain left %d items", q.Len())
-	}
+	q.release()
 }
 
 func TestSplitKeyTieBreaks(t *testing.T) {

@@ -196,8 +196,8 @@ func MemCappedBooking(t *Tree, p int, cap int64) (*Schedule, error) {
 }
 
 // SplitSubtrees exposes the makespan-optimal subtree decomposition used by
-// ParSubtrees (paper Alg. 2, Lemma 1).
-func SplitSubtrees(t *Tree, p int) Splitting { return sched.SplitSubtrees(t, p) }
+// ParSubtrees (paper Alg. 2, Lemma 1). It fails for p < 1.
+func SplitSubtrees(t *Tree, p int) (Splitting, error) { return sched.SplitSubtrees(t, p) }
 
 // Precompute is the shared per-tree scheduling context: Liu's
 // memory-optimal postorder, M_seq, depths and the per-heuristic priority
