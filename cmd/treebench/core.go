@@ -125,6 +125,7 @@ func coreMain(scale string, seed int64, machSpec, out, baseline string, maxratio
 
 	pairOpts := sched.Options{Processors: coreProcs,
 		Heuristics: []sched.HeuristicID{sched.IDParSubtrees, sched.IDParSubtreesOptim}}
+	paperOpts := sched.Options{Processors: coreProcs} // the paper's four heuristics
 	var schedOps, schedNs float64
 	for _, fam := range families {
 		for _, n := range sizes {
@@ -182,6 +183,18 @@ func coreMain(scale string, seed int64, machSpec, out, baseline string, maxratio
 				// paper's four heuristics runs them.
 				{"ParSubtrees/pair", func() {
 					hs, _, err := pairOpts.SelectPre(pc)
+					if err != nil {
+						fatal(err)
+					}
+					for _, h := range hs {
+						mustRun(h.Run(t, coreProcs))
+					}
+				}},
+				// A request that misses both caches: a fresh Precompute and
+				// the paper's four through one selection, so the row times
+				// the rank builds and the splitting that the warm rows skip.
+				{"Paper4/cold", func() {
+					hs, _, err := paperOpts.SelectPre(sched.NewPrecompute(t))
 					if err != nil {
 						fatal(err)
 					}
@@ -291,11 +304,11 @@ func writeReport(rep *CoreReport, out string) {
 }
 
 // measure times f in adaptively doubled batches until the budget is spent,
-// reporting steady-state ns/op and allocs/op (one warmup run excluded).
+// reporting steady-state ns/op (one warmup run excluded) and allocs/op.
+// Allocations are counted in a separate untimed pass of at most
+// allocRuns calls (see allocsPerRun).
 func measure(f func(), budget time.Duration) (nsOp, allocsOp float64) {
 	f() // warmup: fill pools, fault in pages
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
 	start := time.Now()
 	iters := 0
 	batch := 1
@@ -313,9 +326,32 @@ func measure(f func(), budget time.Duration) (nsOp, allocsOp float64) {
 			batch *= 2
 		}
 	}
+	return float64(elapsed.Nanoseconds()) / float64(iters), allocsPerRun(f, min(iters, allocRuns))
+}
+
+// allocRuns bounds the calls of the allocation pass; slow rows, which
+// time fewer iterations, count over fewer.
+const allocRuns = 16
+
+// allocsPerRun returns the allocations per call of f over runs calls,
+// counted as testing.AllocsPerRun counts them: under GOMAXPROCS 1, after
+// one warm call, rounded down to a whole count. With more Ps the calling
+// goroutine can migrate between Ps and miss the sync.Pool entry its last
+// call left on another P, and every collection costs each pool an
+// allocation on its next use; a collection before the warm call leaves the
+// pass a full heap budget. Otherwise both would count runtime noise as the
+// code's allocations. The old GOMAXPROCS is restored.
+func allocsPerRun(f func(), runs int) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	f() // refill the pools: GOMAXPROCS changes and collections empty them
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
 	runtime.ReadMemStats(&after)
-	return float64(elapsed.Nanoseconds()) / float64(iters),
-		float64(after.Mallocs-before.Mallocs) / float64(iters)
+	return float64((after.Mallocs - before.Mallocs) / uint64(runs))
 }
 
 func cloneSchedule(s *sched.Schedule) *sched.Schedule {

@@ -17,26 +17,34 @@ func allocTree(seed int64, n int) *tree.Tree {
 	return tree.RandomAttachment(rng, n, ws)
 }
 
-// TestAllocsListSchedule pins the pooling contract of the list scheduler
-// through ParInnerFirst: on a warm pool and a warm Precompute, a schedule
-// costs only its result (the Schedule struct and its two slices) — at most
-// 5 allocations.
+// TestAllocsListSchedule pins the pooling contract of the event-driven
+// schedulers that use the ready set: on a warm pool and a warm Precompute,
+// ParInnerFirst, ParDeepestFirst and MemCappedBooking each cost only their
+// result (the Schedule struct and its two slices) — at most 5 allocations.
 func TestAllocsListSchedule(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under the race detector")
 	}
-	tr := allocTree(7, 2000)
-	pc := NewPrecompute(tr)
-	if _, err := pc.ParInnerFirst(4); err != nil { // warm pool + ranks
-		t.Fatal(err)
-	}
-	got := testing.AllocsPerRun(20, func() {
-		if _, err := pc.ParInnerFirst(4); err != nil {
+	pc := NewPrecompute(allocTree(7, 2000))
+	for _, v := range []struct {
+		name string
+		run  func() (*Schedule, error)
+	}{
+		{"ParInnerFirst", func() (*Schedule, error) { return pc.ParInnerFirst(4) }},
+		{"ParDeepestFirst", func() (*Schedule, error) { return pc.ParDeepestFirst(4) }},
+		{"MemCappedBooking", func() (*Schedule, error) { return pc.MemCappedBooking(4, 2*pc.MSeq()) }},
+	} {
+		if _, err := v.run(); err != nil { // warm pool + ranks
 			t.Fatal(err)
 		}
-	})
-	if got > 5 {
-		t.Errorf("ParInnerFirst allocates %.1f/op on a warm pool, want <= 5", got)
+		got := testing.AllocsPerRun(20, func() {
+			if _, err := v.run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > 5 {
+			t.Errorf("%s allocates %.1f/op on a warm pool, want <= 5", v.name, got)
+		}
 	}
 }
 

@@ -54,24 +54,22 @@ func (pc *Precompute) MemCappedBookingOn(m *machine.Model, cap int64) (*Schedule
 	if futurePeak[0] > cap {
 		return nil, fmt.Errorf("sched: memory cap %d below sequential requirement %d", cap, futurePeak[0])
 	}
-	rank := pc.rankBooking()
+	rk := pc.rankBooking()
 
 	sc := getSchedScratch()
-	sc.ensureBase(n)
+	sc.ensureBase(t)
 	sc.ensureFlags(n)
-	remaining, ready := sc.remaining, sc.ready
+	remaining, in, ready, fin := sc.remaining, sc.in, &sc.ready, &sc.fin
+	started, outOfOrder, booked := sc.started, sc.outOfOrder, sc.booked
+	ready.reset(n)
 	st := machine.NewState(m)
-	started, outOfOrder := sc.started, sc.extra
 	hasPulse := false
 	for v := 0; v < n; v++ {
-		remaining[v] = int32(t.NumChildren(v))
 		if remaining[v] == 0 {
-			ready = append(ready, int32(v))
+			ready.add(rk.rank[v])
 		}
 		hasPulse = hasPulse || t.W(v) == 0
 	}
-	readyInit(ready, rank)
-	fin := &sc.fin
 
 	var (
 		mem       int64 // resident memory right now
@@ -81,7 +79,7 @@ func (pc *Precompute) MemCappedBookingOn(m *machine.Model, cap int64) (*Schedule
 		now       float64
 	)
 
-	// admissionWindow bounds the per-event scan of the ready queue; σ[next]
+	// admissionWindow bounds the per-event scan of the ready set; σ[next]
 	// is always retried, so the window only trades scheduling quality for
 	// speed, never progress.
 	const admissionWindow = 256
@@ -114,75 +112,60 @@ func (pc *Precompute) MemCappedBookingOn(m *machine.Model, cap int64) (*Schedule
 		return extraUsed+foot <= cap-futurePeak[next]
 	}
 	assign := func() {
-		// Scan the ready queue in priority order, admitting greedily.
-		skipped := sc.skipped[:0]
+		// Walk the ready set in priority order, admitting greedily. The
+		// window counts every task visited, admitted or skipped.
 		scanned := 0
-		for st.Idle() > 0 && len(ready) > 0 && scanned < admissionWindow {
-			var v int32
-			v, ready = readyPop(ready, rank)
+		for r := ready.next(0); r >= 0 && st.Idle() > 0 && scanned < admissionWindow; r = ready.next(r + 1) {
 			scanned++
-			if !admissible(int(v)) {
-				skipped = append(skipped, v)
-				continue
+			if v := int(rk.byRank[r]); admissible(v) {
+				ready.remove(r)
+				start(v, st.Take())
 			}
-			start(int(v), st.Take())
 		}
-		for _, v := range skipped {
-			ready = readyPush(ready, v, rank)
-		}
-		sc.skipped = skipped
 		// Fallback: σ[next] is admissible whenever the machine is idle;
 		// retry it even if the window missed it.
 		if st.Idle() > 0 && next < n {
 			v := order[next]
-			if !started[v] && remaining[v] == 0 && admissible(v) {
-				// Remove v from the ready heap before starting it.
-				for i, u := range ready {
-					if int(u) == v {
-						ready = readyRemove(ready, i, rank)
-						start(v, st.Take())
-						break
-					}
-				}
+			if r := rk.rank[v]; ready.has(r) && admissible(v) {
+				ready.remove(r)
+				start(v, st.Take())
 			}
 		}
 	}
 
-	complete := func(v int, proc int32) {
-		mem -= t.N(v) + t.InSize(v)
+	complete := func(e finishEvent) {
+		v := int(e.node)
+		st.Put(e.proc)
+		mem -= t.N(v) + in[v]
+		// The outputs of v's out-of-order children stayed charged until now.
+		extraUsed -= booked[v]
 		if outOfOrder[v] {
 			extraUsed -= t.N(v) // f_v stays charged until the parent completes
 		}
-		for _, c := range t.Children(v) {
-			if outOfOrder[c] {
-				extraUsed -= t.F(c)
-				outOfOrder[c] = false
-			}
-		}
-		st.Put(proc)
 		if pa := t.Parent(v); pa != tree.None {
-			remaining[pa]--
-			if remaining[pa] == 0 {
-				ready = readyPush(ready, int32(pa), rank)
+			in[pa] += t.F(v)
+			if outOfOrder[v] {
+				booked[pa] += t.F(v)
+			}
+			if remaining[pa]--; remaining[pa] == 0 {
+				ready.add(rk.rank[pa])
 			}
 		}
 	}
 
 	assign()
 	done := 0
-	for fin.Len() > 0 {
-		at, v, proc := fin.pop()
-		now = at
-		complete(int(v), proc)
+	for len(*fin) > 0 {
+		e := fin.pop()
+		now = e.at
+		complete(e)
 		done++
-		for fin.Len() > 0 && fin.at[0] == now {
-			_, v2, proc2 := fin.pop()
-			complete(int(v2), proc2)
+		for fin.endsAt(now) {
+			complete(fin.pop())
 			done++
 		}
 		assign()
 	}
-	sc.ready = ready
 	st.Recycle()
 	putSchedScratch(sc)
 	if done != n {

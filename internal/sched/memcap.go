@@ -51,15 +51,13 @@ func (pc *Precompute) MemCappedOn(m *machine.Model, cap int64) (*Schedule, error
 	}
 	order := pc.Order()
 	sc := getSchedScratch()
-	sc.ensureBase(n)
-	remaining := sc.remaining
+	sc.ensureBase(t)
+	remaining, in, fin := sc.remaining, sc.in, &sc.fin
 	st := machine.NewState(m)
 	hasPulse := false
 	for v := 0; v < n; v++ {
-		remaining[v] = int32(t.NumChildren(v))
 		hasPulse = hasPulse || t.W(v) == 0
 	}
-	fin := &sc.fin
 	var mem, peak int64 // resident memory right now, and its running max
 	now := 0.0
 	next := 0 // index into σ of the next task to activate
@@ -84,22 +82,22 @@ func (pc *Precompute) MemCappedOn(m *machine.Model, cap int64) (*Schedule, error
 			next++
 		}
 	}
-	complete := func(v int32) {
-		mem -= t.N(int(v)) + t.InSize(int(v))
-		if pa := t.Parent(int(v)); pa != tree.None {
+	complete := func(e finishEvent) {
+		v := int(e.node)
+		st.Put(e.proc)
+		mem -= t.N(v) + in[v]
+		if pa := t.Parent(v); pa != tree.None {
+			in[pa] += t.F(v)
 			remaining[pa]--
 		}
 	}
 	startNext()
-	for fin.Len() > 0 {
-		at, v, proc := fin.pop()
-		now = at
-		complete(v)
-		st.Put(proc)
-		for fin.Len() > 0 && fin.at[0] == now {
-			_, v2, proc2 := fin.pop()
-			complete(v2)
-			st.Put(proc2)
+	for len(*fin) > 0 {
+		e := fin.pop()
+		now = e.at
+		complete(e)
+		for fin.endsAt(now) {
+			complete(fin.pop())
 		}
 		startNext()
 	}

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"math"
 	"slices"
 	"sync"
 
@@ -122,32 +123,44 @@ func splitSubtreesW(t *tree.Tree, p int, W []float64) Splitting {
 
 // sortHeaviestFirst orders distinct subtree roots by the split queue's
 // priority (splitKey.greater), the order in which the queue would pop them.
-// It sorts the keys themselves, in a pooled queue's buffer: long lists (a
-// fork's root has ~n children) compare them faster than ids looked up per
-// comparison.
+// It sorts the roots by W with radixScratch.sort (a fork's root has ~n
+// children), then orders each run of equal W by the rest of the key,
+// which is rarely needed: among leaves, equal W means equal w.
 func sortHeaviestFirst(roots []int, t *tree.Tree, W []float64) {
 	if len(roots) <= 1 {
 		return
 	}
-	q := newSplitQueue(0)
-	keys := q.rest[:0]
-	for _, v := range roots {
-		keys = append(keys, splitKey{W: W[v], w: t.W(v), id: v})
+	rs := getRadixScratch()
+	keys, ids := resize(rs.keys, len(roots)), resize(rs.vals, len(roots))
+	for i, v := range roots {
+		keys[i], ids[i] = ^math.Float64bits(W[v]+0), int32(v) // as in wdepthRanks
 	}
-	slices.SortFunc(keys, func(a, b splitKey) int {
-		if a.greater(b) {
-			return -1
+	rs.sort(keys, ids)
+	for lo := 0; lo < len(ids); {
+		hi := lo + 1
+		for hi < len(ids) && keys[hi] == keys[lo] {
+			hi++
 		}
-		if b.greater(a) {
-			return 1
+		if run := ids[lo:hi]; len(run) > 1 {
+			slices.SortFunc(run, func(a, b int32) int {
+				ka := splitKey{W: W[a], w: t.W(int(a)), id: int(a)}
+				kb := splitKey{W: W[b], w: t.W(int(b)), id: int(b)}
+				if ka.greater(kb) {
+					return -1
+				}
+				if kb.greater(ka) {
+					return 1
+				}
+				return 0
+			})
 		}
-		return 0
-	})
-	for i, k := range keys {
-		roots[i] = k.id
+		lo = hi
 	}
-	q.rest = keys
-	q.release()
+	for i, v := range ids {
+		roots[i] = int(v)
+	}
+	rs.keys, rs.vals = keys, ids
+	putRadixScratch(rs)
 }
 
 // SplitSubtreesNaive is the ablation baseline for SplitSubtrees: it stops
@@ -524,7 +537,8 @@ func (sc *subtreeScratch) appendPhase2(t *tree.Tree, dst []int) []int {
 
 // sortRunByKey orders one run of child positions by non-increasing key,
 // ascending position (= ascending id) on ties. Short runs use insertion
-// sort; a long one (a fork's root has ~n children) a real sort.
+// sort; a long one (a fork's root has ~n children) radixScratch.sort, a
+// stable sort, since the run arrives in ascending position.
 func sortRunByKey(run []int32, key []int64) {
 	if len(run) <= 20 {
 		for i := 1; i < len(run); i++ {
@@ -539,15 +553,14 @@ func sortRunByKey(run []int32, key []int64) {
 		}
 		return
 	}
-	slices.SortFunc(run, func(a, b int32) int {
-		if ka, kb := key[a], key[b]; ka != kb {
-			if ka > kb {
-				return -1
-			}
-			return 1
-		}
-		return int(a) - int(b)
-	})
+	rs := getRadixScratch()
+	keys := resize(rs.keys, len(run))
+	for i, c := range run {
+		keys[i] = ^(uint64(key[c]) ^ 1<<63) // ascending exactly as key descends
+	}
+	rs.sort(keys, run)
+	rs.keys = keys
+	putRadixScratch(rs)
 }
 
 // streamPeak computes the schedule's exact simulated peak by merging the

@@ -108,16 +108,19 @@ func TestParSubtreesMatchesReference(t *testing.T) {
 }
 
 // fuzzTree builds a tree and a processor count from bytes. The first byte
-// picks p in 1..32 and whether every w is positive (so the peak is
-// cached); each following pair of bytes adds a node, attached to the root
-// for a quarter of the first byte's range (wide nodes) and to an earlier
-// node otherwise, with small weights that tie often and may be zero.
+// picks p in 1..32, whether every w is positive (so the peak is cached) and
+// whether the root and the zero weights of odd nodes are -0 (so w-depths
+// of +0 and -0 meet); each following pair of bytes adds a node, attached to
+// the root for a quarter of the first byte's range (wide nodes) and to an
+// earlier node otherwise, with small weights that tie often and may be
+// zero.
 func fuzzTree(data []byte) (*tree.Tree, int) {
 	if len(data) == 0 {
 		return nil, 0
 	}
 	p := 1 + int(data[0]&0x1f)
 	positive := data[0]&0x80 != 0
+	negZero := data[0]&0x40 != 0
 	data = data[1:]
 	n := 1 + min(len(data)/2, 4000)
 	parent := make([]int, n)
@@ -137,6 +140,12 @@ func fuzzTree(data []byte) (*tree.Tree, int) {
 		}
 		nn[i] = int64(b >> 2 & 3)
 		f[i] = int64(b >> 4)
+		if negZero && w[i] == 0 && i%2 == 1 {
+			w[i] = math.Copysign(0, -1)
+		}
+	}
+	if negZero {
+		w[0] = math.Copysign(0, -1)
 	}
 	return tree.MustNew(parent, w, nn, f), p
 }

@@ -1,7 +1,6 @@
 package sched
 
 import (
-	"slices"
 	"sync"
 
 	"treesched/internal/machine"
@@ -39,19 +38,17 @@ type Precompute struct {
 	wdepthOnce sync.Once
 	wdepth     []float64 // w-weighted root distance, both endpoints inclusive
 
-	// Per-heuristic priority ranks: rank[v] < rank[u] iff v precedes u
-	// under the heuristic's ready-queue order. Each ranking is a total
-	// order (σ-position or node id breaks every tie), so a rank array
-	// captures the comparator exactly and the ready heap reduces to
-	// integer comparisons.
+	// Per-heuristic ready-queue orders as dense rank permutations (see
+	// rankPerm), each a total order: σ-position or node id breaks every
+	// tie.
 	innerOnce    sync.Once
-	innerRank    []uint64
+	inner        rankPerm
 	innerArbOnce sync.Once
-	innerArbRank []uint64
+	innerArb     rankPerm
 	deepOnce     sync.Once
-	deepRank     []uint64
+	deep         rankPerm
 	bookOnce     sync.Once
-	bookRank     []uint64
+	book         rankPerm
 
 	futureOnce sync.Once
 	futurePeak []int64
@@ -79,8 +76,9 @@ func (pc *Precompute) Tree() *tree.Tree { return pc.t }
 // a byte budget must charge for both). The per-node constant sums the
 // tree's parent/children/order/w/n/f storage (72 B), the postorder index
 // (28 B), σ-positions (8 B), depths and leaf flags (5 B), weighted depths
-// (8 B), the four priority-rank arrays (32 B), the booking suffix maxima
-// (8 B) and subtree weights (8 B), rounded up to a word.
+// (8 B), the four rank permutations (an int32 rank and an int32 node per
+// position each: 32 B), the booking suffix maxima (8 B) and subtree weights
+// (8 B), rounded up to a word.
 const (
 	precomputePerNodeBytes = 176
 	precomputeFixedBytes   = 1024
@@ -162,112 +160,45 @@ func (pc *Precompute) ensureWDepths() {
 	pc.wdepthOnce.Do(func() { pc.wdepth = pc.t.WDepths() })
 }
 
-// buildRank converts a total-order comparator into its rank permutation:
-// rank[v] = v's position in the sorted node sequence. cmp must be a total
-// order (return 0 only for a == b) so the ranking is unique. Rank values
-// only need to be order-preserving, not dense — comparators whose keys
-// pack into an integer (rankInnerFirst) skip this sort entirely.
-func buildRank(n int, cmp func(a, b int32) int) []uint64 {
-	idx := make([]int32, n)
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	slices.SortFunc(idx, cmp)
-	rank := make([]uint64, n)
-	for i, v := range idx {
-		rank[v] = uint64(i)
-	}
-	return rank
-}
-
 // rankInnerFirst ranks ready nodes for ParInnerFirst: inner nodes before
 // leaves; inner nodes by non-increasing depth; σ-position breaks all
-// remaining ties (leaves follow σ outright). The whole order packs into
-// one integer key per node — leaf bit, then inverted depth (inner nodes
-// only), then position — so the ranking is built in O(n) with no sort.
-func (pc *Precompute) rankInnerFirst() []uint64 {
+// remaining ties (leaves follow σ outright).
+func (pc *Precompute) rankInnerFirst() rankPerm {
 	pc.innerOnce.Do(func() {
 		pc.ensureDepths()
-		pc.innerRank = packInnerRank(pc.depth, pc.leaf, pc.pos)
+		pc.inner = innerFirstRanks(pc.depth, pc.leaf, pc.ix.Order)
 	})
-	return pc.innerRank
+	return pc.inner
 }
 
 // rankInnerFirstArbitrary is rankInnerFirst with the natural (index) order
 // in place of σ — the leaf-order ablation.
-func (pc *Precompute) rankInnerFirstArbitrary() []uint64 {
+func (pc *Precompute) rankInnerFirstArbitrary() rankPerm {
 	pc.innerArbOnce.Do(func() {
 		pc.ensureDepths()
-		pc.innerArbRank = packInnerRank(pc.depth, pc.leaf, nil)
+		pc.innerArb = innerFirstRanks(pc.depth, pc.leaf, nil)
 	})
-	return pc.innerArbRank
-}
-
-// packInnerRank packs the ParInnerFirst order into per-node integer keys
-// over positions pos (nil means natural node order). Depth and position
-// both fit 31 bits (n < 2³¹), leaving bit 62 for the leaf flag.
-func packInnerRank(depth []int32, leaf []bool, pos []int) []uint64 {
-	const depthMask = uint64(1)<<31 - 1
-	rank := make([]uint64, len(depth))
-	for v := range rank {
-		p := uint64(v)
-		if pos != nil {
-			p = uint64(pos[v])
-		}
-		if leaf[v] {
-			rank[v] = 1<<62 | p // leaves after all inner nodes, by position
-		} else {
-			rank[v] = (depthMask-uint64(depth[v]))<<31 | p // deepest first
-		}
-	}
-	return rank
+	return pc.innerArb
 }
 
 // rankDeepestFirst ranks ready nodes for ParDeepestFirst: non-increasing
-// w-weighted depth, inner nodes before leaves, σ-position last. The
-// float64 primary key doesn't pack next to its tie-breaks, so this one
-// ranking is built by sorting.
-func (pc *Precompute) rankDeepestFirst() []uint64 {
+// w-weighted depth, inner nodes before leaves, σ-position last.
+func (pc *Precompute) rankDeepestFirst() rankPerm {
 	pc.deepOnce.Do(func() {
-		pc.ensureDepths()
 		pc.ensureWDepths()
-		wdepth, leaf, pos := pc.wdepth, pc.leaf, pc.pos
-		pc.deepRank = buildRank(pc.t.Len(), func(a, b int32) int {
-			if wdepth[a] != wdepth[b] {
-				if wdepth[a] > wdepth[b] {
-					return -1
-				}
-				return 1
-			}
-			if leaf[a] != leaf[b] {
-				if !leaf[a] { // inner nodes before leaves
-					return -1
-				}
-				return 1
-			}
-			return pos[a] - pos[b]
-		})
+		pc.deep = wdepthRanks(pc.t, pc.wdepth, pc.ix.Order, true)
 	})
-	return pc.deepRank
+	return pc.deep
 }
 
 // rankBooking ranks ready nodes for MemCappedBooking admission:
 // non-increasing w-weighted depth, σ-position breaking ties.
-func (pc *Precompute) rankBooking() []uint64 {
+func (pc *Precompute) rankBooking() rankPerm {
 	pc.bookOnce.Do(func() {
 		pc.ensureWDepths()
-		wdepth, pos := pc.wdepth, pc.pos
-		pc.bookRank = buildRank(pc.t.Len(), func(a, b int32) int {
-			if wdepth[a] != wdepth[b] {
-				if wdepth[a] > wdepth[b] {
-					return -1
-				}
-				return 1
-			}
-			return pos[a] - pos[b]
-		})
+		pc.book = wdepthRanks(pc.t, pc.wdepth, pc.ix.Order, false)
 	})
-	return pc.bookRank
+	return pc.book
 }
 
 // Run dispatches a heuristic by ID on this context's tree and the paper's

@@ -55,7 +55,7 @@ func ParInnerFirstArbitrary(t *tree.Tree, p int) (*Schedule, error) {
 		return nil, err
 	}
 	depth, leaf := depthsAndLeaves(t)
-	return listScheduleRank(t, m, packInnerRank(depth, leaf, nil))
+	return listScheduleRank(t, m, innerFirstRanks(depth, leaf, nil))
 }
 
 // ParInnerFirstArbitrary is the precompute-sharing form of the
