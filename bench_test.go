@@ -170,7 +170,7 @@ func BenchmarkFig3Fork(b *testing.B) {
 	t := pebble.ForkTree(p, k)
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		s, err := sched.ParSubtrees(t, p)
+		s, err := treesched.ParSubtrees(t, p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -186,7 +186,7 @@ func BenchmarkFig4JoinChain(b *testing.B) {
 	t := pebble.JoinChainTree(p, k)
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		s, err := sched.ParInnerFirst(t, p)
+		s, err := treesched.ParInnerFirst(t, p)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -202,7 +202,7 @@ func BenchmarkFig5Spider(b *testing.B) {
 	t := pebble.SpiderTree(chains, 4)
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		s, err := sched.ParDeepestFirst(t, 2)
+		s, err := treesched.ParDeepestFirst(t, 2)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -224,7 +224,7 @@ func BenchmarkAblationLeafOrder(b *testing.B) {
 		var sum float64
 		var cnt int
 		for _, in := range insts {
-			s1, err := sched.ParInnerFirst(in.Tree, 8)
+			s1, err := treesched.ParInnerFirst(in.Tree, 8)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -303,7 +303,7 @@ func BenchmarkPeakMemorySimulator(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	t := tree.RandomAttachment(rng, 100000,
 		tree.WeightSpec{WMin: 1, WMax: 9, NMin: 0, NMax: 9, FMin: 1, FMax: 99})
-	s, err := sched.ParDeepestFirst(t, 16)
+	s, err := treesched.ParDeepestFirst(t, 16)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -86,7 +86,7 @@ func runGapStudy(seed int64) {
 			if free.Proven {
 				proved++
 				for _, id := range uncapped {
-					s, err := pc.RunOn(id, m, 0)
+					s, err := pc.Run(id, m, 0)
 					if err != nil {
 						fatal(err)
 					}
@@ -94,7 +94,7 @@ func runGapStudy(seed int64) {
 				}
 			}
 			for _, f := range factors {
-				cap := exact.CapFromFactor(f, pc.MSeq())
+				cap := sched.CapFromFactor(f, pc.MSeq())
 				solves++
 				res, err := exact.SolvePre(pc, m, cap, budget)
 				if err != nil {
@@ -105,7 +105,7 @@ func runGapStudy(seed int64) {
 				}
 				proved++
 				for _, id := range capped {
-					s, err := pc.RunOn(id, m, f)
+					s, err := pc.Run(id, m, cap)
 					if err != nil {
 						fatal(err)
 					}

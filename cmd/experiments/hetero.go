@@ -48,17 +48,17 @@ func runHetero(insts []dataset.Instance) {
 		lbUni := sched.MakespanLowerBoundOn(t, uni)
 		lbHet := sched.MakespanLowerBoundOn(t, het)
 		for _, id := range ids {
-			sUni, err := pc.RunOn(id, uni, 0)
+			sUni, err := pc.Run(id, uni, 0)
 			if err != nil {
 				fatal(err)
 			}
-			sHet, err := pc.RunOn(id, het, 0)
+			sHet, err := pc.Run(id, het, 0)
 			if err != nil {
 				fatal(err)
 			}
 			// Speed-blind baseline: schedule as if the 4 processors were
 			// identical, then live with the real speeds.
-			sBlind, err := pc.Run(id, het.P(), 0)
+			sBlind, err := pc.Run(id, machine.Uniform(het.P()), 0)
 			if err != nil {
 				fatal(err)
 			}

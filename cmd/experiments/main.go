@@ -20,6 +20,7 @@ import (
 	"path/filepath"
 
 	"treesched/internal/dataset"
+	"treesched/internal/machine"
 	"treesched/internal/report"
 	"treesched/internal/sched"
 	"treesched/internal/stats"
@@ -165,14 +166,15 @@ func runSplitAblation(insts []dataset.Instance) {
 func runAblation(insts []dataset.Instance) {
 	fmt.Println("== Ablation E12: leaf order of ParInnerFirst (postorder vs arbitrary) ==")
 	var ratios []float64
-	arb, _ := sched.ByName("ParInnerFirstArbitrary")
 	for _, in := range insts {
+		pc := sched.NewPrecompute(in.Tree)
 		for _, p := range []int{4, 16} {
-			s1, err := sched.ParInnerFirst(in.Tree, p)
+			m := machine.Uniform(p)
+			s1, err := pc.Run(sched.IDParInnerFirst, m, 0)
 			if err != nil {
 				fatal(err)
 			}
-			s2, err := arb.Run(in.Tree, p)
+			s2, err := pc.Run(sched.IDParInnerFirstArbitrary, m, 0)
 			if err != nil {
 				fatal(err)
 			}
@@ -190,18 +192,19 @@ func runAblation(insts []dataset.Instance) {
 func runMemCapSweep(insts []dataset.Instance) {
 	fmt.Println("== Extension E13: memory-capped scheduling at p=8 ==")
 	fmt.Println("cap/Mseq   activation ms/LB (mean, P90)   booking ms/LB (mean, P90)")
+	m := machine.Uniform(8)
 	for _, factor := range []float64{1.0, 1.5, 2.0, 3.0, 5.0} {
 		var act, book []float64
 		for _, in := range insts {
-			mseq := sched.MemoryLowerBound(in.Tree)
-			cap := int64(factor * float64(mseq))
+			pc := sched.NewPrecompute(in.Tree)
+			cap := sched.CapFromFactor(factor, pc.MSeq())
 			lb := sched.MakespanLowerBound(in.Tree, 8)
-			s, err := sched.MemCapped(in.Tree, 8, cap)
+			s, err := pc.Run(sched.IDMemCapped, m, cap)
 			if err != nil {
 				fatal(err)
 			}
 			act = append(act, s.Makespan(in.Tree)/lb)
-			s, err = sched.MemCappedBooking(in.Tree, 8, cap)
+			s, err = pc.Run(sched.IDMemCappedBooking, m, cap)
 			if err != nil {
 				fatal(err)
 			}

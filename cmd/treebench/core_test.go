@@ -69,7 +69,24 @@ func TestCompareCore(t *testing.T) {
 				map[string]float64{"ParInnerFirst": 3, "Sequential": 1, "Obs/CounterInc": 1.5},
 				1e5),
 			owns:    ownsAll,
-			wantErr: "Obs/CounterInc allocs/op 1.50 exceeds 2× baseline 0.00",
+			wantErr: "Obs/CounterInc allocs/op 1.50 exceeds baseline 0.00 + 0.5",
+		},
+		{
+			name: "one more allocation per call fails",
+			rep: coreReport(
+				map[string]float64{"ParInnerFirst": 1000, "Sequential": 500, "Obs/CounterInc": 10},
+				map[string]float64{"ParInnerFirst": 4, "Sequential": 1, "Obs/CounterInc": 0},
+				1e5),
+			owns:    ownsAll,
+			wantErr: "ParInnerFirst allocs/op 4.00 exceeds baseline 3.00 + 0.5",
+		},
+		{
+			name: "allocs 0.4 above baseline pass",
+			rep: coreReport(
+				map[string]float64{"ParInnerFirst": 1000, "Sequential": 500, "Obs/CounterInc": 10},
+				map[string]float64{"ParInnerFirst": 3.4, "Sequential": 1.4, "Obs/CounterInc": 0.4},
+				1e5),
+			owns: ownsAll,
 		},
 		{
 			name: "missing owned row fails",

@@ -37,20 +37,13 @@ const (
 const gapNodeBudget int64 = 1 << 20
 
 // gapHeuristics is every runnable scheduler measured against the proven
-// optimum. The capped pair runs at the suite cap factor; the rest uncapped.
+// optimum. The capped pair runs under the suite cap; the rest uncapped.
 var gapHeuristics = []sched.HeuristicID{
 	sched.IDParSubtrees, sched.IDParSubtreesOptim,
 	sched.IDParInnerFirst, sched.IDParDeepestFirst,
 	sched.IDParInnerFirstArbitrary,
 	sched.IDSequential, sched.IDOptimalSequential,
 	sched.IDMemCapped, sched.IDMemCappedBooking,
-}
-
-func gapCapFactorFor(id sched.HeuristicID) float64 {
-	if id == sched.IDMemCapped || id == sched.IDMemCappedBooking {
-		return gapCapFactor
-	}
-	return 0
 }
 
 // GapHeuristicStats is the ledger row of one heuristic.
@@ -146,7 +139,7 @@ func runGapSuite(scale string, seed int64) (*GapReport, error) {
 	var exactWall time.Duration
 	for _, t := range trees {
 		pc := sched.NewPrecompute(t)
-		cap := exact.CapFromFactor(gapCapFactor, pc.MSeq())
+		cap := sched.CapFromFactor(gapCapFactor, pc.MSeq())
 		start := time.Now()
 		res, err := exact.SolvePre(pc, m, cap, gapNodeBudget)
 		exactWall += time.Since(start)
@@ -159,7 +152,7 @@ func runGapSuite(scale string, seed int64) (*GapReport, error) {
 		}
 		rep.Proved++
 		for _, id := range gapHeuristics {
-			s, err := pc.RunOn(id, m, gapCapFactorFor(id))
+			s, err := pc.Run(id, m, cap)
 			if err != nil {
 				return nil, fmt.Errorf("%v on %s: %w", id, t, err)
 			}

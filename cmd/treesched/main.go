@@ -95,7 +95,8 @@ func main() {
 	}
 
 	msLB := sched.MakespanLowerBoundOn(t, mach)
-	memLB := sched.MemoryLowerBound(t)
+	pc := sched.NewPrecompute(t)
+	memLB := pc.MSeq()
 	opt := traversal.Optimal(t)
 	fmt.Printf("tree: %d nodes, %d leaves, height %d, max degree %d\n",
 		t.Len(), t.NumLeaves(), t.Height(), t.MaxDegree())
@@ -108,7 +109,7 @@ func main() {
 		defer tr.Release()
 	}
 	if *runPort || *objective != "" {
-		runPortfolio(t, mach, *objective, *memcap, tr, *timeline)
+		runPortfolio(pc, mach, *objective, *memcap, tr, *timeline)
 		return
 	}
 	if *name == sched.IDExact.String() {
@@ -116,64 +117,56 @@ func main() {
 		return
 	}
 
-	var hs []sched.Heuristic
-	if *name == "all" {
-		hs = sched.Heuristics()
-	} else {
+	ids := sched.PaperHeuristics()
+	if *name != "all" {
 		h, ok := sched.ByName(*name)
 		if !ok {
 			fatal(fmt.Errorf("unknown heuristic %q (known: %s; MemCapped/MemCappedBooking need -memcap, Auto needs -portfolio)",
 				*name, strings.Join(sched.HeuristicNames(), ", ")))
 		}
-		hs = []sched.Heuristic{h}
+		ids = []sched.HeuristicID{h.ID}
 	}
 
 	w := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(w, "heuristic\tmakespan\tms/LB\tmemory\tmem/Mseq\tutilization")
 	var charts []string
-	timelineDone := false
-	for _, h := range hs {
+	for i, id := range ids {
+		name := id.String()
 		cid := obs.RootSpan
 		if tr != nil {
-			cid = tr.Start("candidate:"+h.Name, obs.RootSpan)
+			cid = tr.Start("candidate:"+name, obs.RootSpan)
 		}
 		sid := tr.Start("schedule", cid)
-		s, err := h.RunOn(t, mach)
+		s, err := pc.Run(id, mach, 0)
 		tr.End(sid)
 		if err != nil {
 			fatal(err)
 		}
 		eid := tr.Start("evaluate", cid)
 		if err := s.Validate(t); err != nil {
-			fatal(fmt.Errorf("%s produced an invalid schedule: %w", h.Name, err))
+			fatal(fmt.Errorf("%s produced an invalid schedule: %w", name, err))
 		}
-		report(w, h.Name, t, s, msLB, memLB)
+		report(w, name, t, s, msLB, memLB)
 		tr.End(eid)
 		tr.End(cid)
 		if *gantt {
-			charts = append(charts, h.Name+"\n"+sched.GanttString(t, s, 100))
+			charts = append(charts, name+"\n"+sched.GanttString(t, s, 100))
 		}
 		// The first heuristic's schedule is the one -timeline renders
-		// (with -heuristic <name> that is the selected heuristic); written
-		// now, before the next run can recycle the pooled scratch.
-		if *timeline != "" && !timelineDone {
-			writeTimeline(*timeline, t, s, h.Name, memCapOf(*memcap, memLB))
-			timelineDone = true
+		// (with -heuristic <name> that is the selected heuristic).
+		if *timeline != "" && i == 0 {
+			writeTimeline(*timeline, t, s, name, memCapOf(*memcap, memLB))
 		}
 	}
 	if *memcap > 0 {
-		pc := sched.NewPrecompute(t)
-		cap := int64(*memcap * float64(memLB))
-		s, err := pc.MemCappedOn(mach, cap)
-		if err != nil {
-			fatal(err)
+		cap := sched.CapFromFactor(*memcap, memLB)
+		for _, id := range []sched.HeuristicID{sched.IDMemCapped, sched.IDMemCappedBooking} {
+			s, err := pc.Run(id, mach, cap)
+			if err != nil {
+				fatal(err)
+			}
+			report(w, fmt.Sprintf("%s(%.2g×)", id, *memcap), t, s, msLB, memLB)
 		}
-		report(w, fmt.Sprintf("MemCapped(%.2g×)", *memcap), t, s, msLB, memLB)
-		s, err = pc.MemCappedBookingOn(mach, cap)
-		if err != nil {
-			fatal(err)
-		}
-		report(w, fmt.Sprintf("MemCappedBooking(%.2g×)", *memcap), t, s, msLB, memLB)
 	}
 	w.Flush()
 	for _, c := range charts {
@@ -182,13 +175,14 @@ func main() {
 	printTrace(tr)
 }
 
-// memCapOf resolves the timeline's memory-counter cap series: the -memcap
-// factor × M_seq, or 0 (no cap series) for uncapped runs.
+// memCapOf resolves the timeline's memory-counter cap series: the cap the
+// capped schedulers run under (sched.CapFromFactor of the -memcap factor),
+// or 0 (no cap series) for uncapped runs.
 func memCapOf(factor float64, memSeq int64) int64 {
 	if factor <= 0 {
 		return 0
 	}
-	return int64(factor * float64(memSeq))
+	return sched.CapFromFactor(factor, memSeq)
 }
 
 // writeTimeline renders one schedule as Chrome Trace Event Format JSON at
@@ -243,7 +237,7 @@ func runExact(t *tree.Tree, mach *machine.Model, memcap float64, budgetSpec stri
 			fatal(err)
 		}
 	}
-	memCap := exact.CapFromFactor(memcap, memLB)
+	memCap := sched.CapFromFactor(memcap, memLB)
 	sid := tr.Start("solve", obs.RootSpan)
 	res, err := exact.Solve(t, mach, memCap, nodes)
 	tr.End(sid)
@@ -271,7 +265,7 @@ func runExact(t *tree.Tree, mach *machine.Model, memcap float64, budgetSpec stri
 // runPortfolio races the default candidate set (plus the memory-capped
 // schedulers when -memcap is given) and reports every candidate with its
 // frontier membership and the objective-selected winner.
-func runPortfolio(t *tree.Tree, mach *machine.Model, objSpec string, memcap float64, tr *obs.Trace, timeline string) {
+func runPortfolio(pc *sched.Precompute, mach *machine.Model, objSpec string, memcap float64, tr *obs.Trace, timeline string) {
 	obj := portfolio.MinMakespan()
 	if objSpec != "" {
 		var err error
@@ -286,7 +280,7 @@ func runPortfolio(t *tree.Tree, mach *machine.Model, objSpec string, memcap floa
 		opts.Heuristics = append(portfolio.DefaultCandidates(), sched.IDMemCapped, sched.IDMemCappedBooking)
 		opts.MemCapFactor = memcap
 	}
-	res, err := portfolio.Run(context.Background(), t, obj, opts)
+	res, err := portfolio.RunPre(context.Background(), pc, obj, opts)
 	if err != nil {
 		fatal(err)
 	}
@@ -317,20 +311,8 @@ func runPortfolio(t *tree.Tree, mach *machine.Model, objSpec string, memcap floa
 	if win, ok := res.WinnerCandidate(); ok {
 		fmt.Printf("\nwinner under %s: %s (makespan %.6g, memory %d)\n",
 			res.Objective, win.ID, win.Makespan, win.PeakMemory)
-		// The race only keeps metrics, so -timeline re-runs the winner
-		// deterministically to obtain its schedule. Exact's schedule is
-		// not re-derivable through the heuristic interface.
-		if timeline != "" && win.ID != sched.IDExact {
-			wopts := sched.Options{Machine: mach, Heuristics: []sched.HeuristicID{win.ID}, MemCapFactor: memcap}
-			hs, _, err := wopts.SelectFor(t)
-			if err != nil {
-				fatal(err)
-			}
-			s, err := hs[0].RunOn(t, mach)
-			if err != nil {
-				fatal(err)
-			}
-			writeTimeline(timeline, t, s, win.ID.String(), memCapOf(memcap, res.MemorySeq))
+		if timeline != "" {
+			writeTimeline(timeline, pc.Tree(), win.Schedule, win.ID.String(), memCapOf(memcap, res.MemorySeq))
 		}
 	} else {
 		fmt.Println("\nno winner: every candidate failed")

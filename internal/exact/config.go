@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"treesched/internal/machine"
+	"treesched/internal/sched"
 )
 
 // ParseBudget parses a node-budget spec: a positive integer with an
@@ -79,22 +80,7 @@ func (c CapSpec) Resolve(mseq int64) int64 {
 	case c.Abs > 0:
 		return c.Abs
 	}
-	return CapFromFactor(c.Factor, mseq)
-}
-
-// CapFromFactor converts a cap expressed as a multiple of M_seq into an
-// absolute cap, rounding up so the cap never undershoots factor × M_seq
-// through float truncation. Non-positive factors (an unset option) and
-// products beyond int64 range mean no cap (math.MaxInt64).
-func CapFromFactor(factor float64, mseq int64) int64 {
-	if !(factor > 0) { // also catches NaN
-		return math.MaxInt64
-	}
-	prod := math.Ceil(factor * float64(mseq))
-	if prod >= float64(math.MaxInt64) {
-		return math.MaxInt64
-	}
-	return int64(prod)
+	return sched.CapFromFactor(c.Factor, mseq)
 }
 
 // Config is a fully parsed exact-solver invocation: the machine, the cap

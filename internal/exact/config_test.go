@@ -103,27 +103,6 @@ func TestCapSpecResolve(t *testing.T) {
 	}
 }
 
-func TestCapFromFactor(t *testing.T) {
-	cases := []struct {
-		factor float64
-		mseq   int64
-		want   int64
-	}{
-		{0, 100, math.MaxInt64},
-		{-1, 100, math.MaxInt64},
-		{math.NaN(), 100, math.MaxInt64},
-		{2, 100, 200},
-		{1.5, 101, 152},
-		{math.Inf(1), 100, math.MaxInt64},
-		{1e18, math.MaxInt64, math.MaxInt64}, // saturates instead of overflowing
-	}
-	for _, tc := range cases {
-		if got := CapFromFactor(tc.factor, tc.mseq); got != tc.want {
-			t.Errorf("CapFromFactor(%g, %d) = %d, want %d", tc.factor, tc.mseq, got, tc.want)
-		}
-	}
-}
-
 func TestParseConfig(t *testing.T) {
 	cfg, err := ParseConfig("2x1.0+2x0.5", "1.5x", "500k")
 	if err != nil {

@@ -109,13 +109,6 @@ var oracleHeuristics = []sched.HeuristicID{
 	sched.IDMemCapped, sched.IDMemCappedBooking,
 }
 
-func capFactorFor(id sched.HeuristicID) float64 {
-	if id == sched.IDMemCapped || id == sched.IDMemCappedBooking {
-		return 2
-	}
-	return 0
-}
-
 // TestDifferentialOracle is the exhaustive ground-truth suite: every tree
 // shape up to 8 nodes, several random weight draws per shape, four
 // machine models. For each instance it proves the optimum with the exact
@@ -169,7 +162,7 @@ func TestDifferentialOracle(t *testing.T) {
 				checkResult(t, tr, res, math.MaxInt64)
 
 				for _, id := range oracleHeuristics {
-					s, err := pc.RunOn(id, m, capFactorFor(id))
+					s, err := pc.Run(id, m, sched.CapFromFactor(2, pc.MSeq()))
 					if err != nil {
 						t.Fatalf("%s: %v: %v", label, id, err)
 					}

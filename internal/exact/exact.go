@@ -148,7 +148,7 @@ func SolvePre(pc *sched.Precompute, m *machine.Model, cap int64, nodeBudget int6
 		// linearization can replay the order to a higher peak than the
 		// traversal's step model; if that breaks the cap, fall through to
 		// the search, which enumerates event-aligned pulse placements.
-		s, err := sched.SequentialScheduleOn(t, m, opt.Order)
+		s, err := sched.SequentialSchedule(t, m, opt.Order)
 		if err != nil {
 			return nil, err
 		}
@@ -232,20 +232,20 @@ func seedIncumbent(pc *sched.Precompute, m *machine.Model, cap int64, liuOrder [
 		}
 		best, bestMk, bestPeak = s, mk, peak
 	}
-	s, err := sched.SequentialScheduleOn(t, m, liuOrder)
+	s, err := sched.SequentialSchedule(t, m, liuOrder)
 	consider(s, err)
 	for _, id := range []sched.HeuristicID{
 		sched.IDParSubtrees, sched.IDParSubtreesOptim,
 		sched.IDParInnerFirst, sched.IDParDeepestFirst, sched.IDSequential,
 	} {
-		s, err := pc.RunOn(id, m, 0)
+		s, err := pc.Run(id, m, cap)
 		consider(s, err)
 	}
 	if cap >= pc.MSeq() {
-		s, err := pc.MemCappedOn(m, cap)
-		consider(s, err)
-		s, err = pc.MemCappedBookingOn(m, cap)
-		consider(s, err)
+		for _, id := range []sched.HeuristicID{sched.IDMemCapped, sched.IDMemCappedBooking} {
+			s, err := pc.Run(id, m, cap)
+			consider(s, err)
+		}
 	}
 	return best, bestMk, bestPeak
 }

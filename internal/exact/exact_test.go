@@ -218,7 +218,7 @@ func TestSolveBeatsSeedUnderCap(t *testing.T) {
 	if !res.Proven {
 		t.Fatalf("not proven (explored %d)", res.Explored)
 	}
-	seq, err := sched.SequentialSchedule(tr, traversal.BestPostOrder(tr).Order)
+	seq, err := sched.SequentialSchedule(tr, machine.Uniform(1), traversal.BestPostOrder(tr).Order)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +335,7 @@ func TestAnchorSequentialDataset(t *testing.T) {
 		if res.Peak != opt.Peak {
 			t.Errorf("%s: exact peak %d != traversal.Optimal peak %d", in.Name, res.Peak, opt.Peak)
 		}
-		seq, err := sched.SequentialSchedule(tr, opt.Order)
+		seq, err := sched.SequentialSchedule(tr, machine.Uniform(1), opt.Order)
 		if err != nil {
 			t.Fatalf("%s: SequentialSchedule: %v", in.Name, err)
 		}

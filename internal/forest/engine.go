@@ -86,7 +86,7 @@ type finEvent struct {
 }
 
 // admissionWindow bounds the per-event scan of the ready queue, exactly as
-// in sched.MemCappedBooking: every admitted job's σ-front is retried by
+// in sched.IDMemCappedBooking: every admitted job's σ-front is retried by
 // the fallback pass, so the window only trades scheduling quality for
 // speed, never progress.
 const admissionWindow = 256

@@ -49,7 +49,6 @@ package forest
 
 import (
 	"fmt"
-	"math"
 
 	"treesched/internal/machine"
 	"treesched/internal/obs"
@@ -231,9 +230,5 @@ func (c Config) resolveCap(maxMemSeq int64) int64 {
 	if factor == 0 {
 		factor = DefaultMemCapFactor
 	}
-	prod := math.Ceil(factor * float64(maxMemSeq))
-	if prod >= float64(math.MaxInt64) {
-		return math.MaxInt64
-	}
-	return int64(prod)
+	return sched.CapFromFactor(factor, maxMemSeq)
 }

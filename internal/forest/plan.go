@@ -126,7 +126,7 @@ func planJob(ctx context.Context, idx int, j *Job, cfg Config) *jobState {
 
 	// One scheduling precompute serves the whole job: the booking
 	// reference (σ, its inverse, the futurePeak suffix maxima — exactly
-	// the invariants of sched.MemCappedBooking), the planning heuristic,
+	// the invariants of sched.IDMemCappedBooking), the planning heuristic,
 	// and every candidate of a portfolio race. Liu's traversal runs once
 	// per job, not once per consumer.
 	pc := sched.NewPrecompute(t)
@@ -157,15 +157,16 @@ func planJob(ctx context.Context, idx int, j *Job, cfg Config) *jobState {
 	return js
 }
 
-// planSchedule produces the job's standalone plan: a portfolio race when
-// the job carries an objective or names Auto (the winner is re-run to
-// obtain its schedule — candidate racing only keeps metrics), a single
-// heuristic otherwise. Everything runs off the job's shared precompute.
+// planSchedule produces the job's standalone plan: the winner's schedule
+// of a portfolio race when the job carries an objective or names Auto, a
+// single heuristic's otherwise. Everything runs off the job's shared
+// precompute.
 func planSchedule(ctx context.Context, pc *sched.Precompute, j *Job, width int, def sched.HeuristicID) (*sched.Schedule, sched.HeuristicID, error) {
 	id := def
 	if j.Heuristic != nil {
 		id = *j.Heuristic
 	}
+	opts := sched.Options{Processors: width, MemCapFactor: j.MemCapFactor}
 	if j.Objective != nil || id == sched.IDAuto {
 		obj := portfolio.MinMakespan()
 		if j.Objective != nil {
@@ -173,10 +174,7 @@ func planSchedule(ctx context.Context, pc *sched.Precompute, j *Job, width int, 
 		}
 		// Parallelism 1: forest planning already fans out across jobs, so
 		// racing each job's candidates concurrently too would oversubscribe.
-		res, err := portfolio.RunPre(ctx, pc, obj, portfolio.Options{
-			Options:     sched.Options{Processors: width, MemCapFactor: j.MemCapFactor},
-			Parallelism: 1,
-		})
+		res, err := portfolio.RunPre(ctx, pc, obj, portfolio.Options{Options: opts, Parallelism: 1})
 		if err != nil {
 			return nil, 0, err
 		}
@@ -184,13 +182,9 @@ func planSchedule(ctx context.Context, pc *sched.Precompute, j *Job, width int, 
 		if !ok {
 			return nil, 0, fmt.Errorf("every portfolio candidate failed")
 		}
-		id = w.ID
+		return w.Schedule, w.ID, nil
 	}
-	opts := sched.Options{
-		Processors:   width,
-		Heuristics:   []sched.HeuristicID{id},
-		MemCapFactor: j.MemCapFactor,
-	}
+	opts.Heuristics = []sched.HeuristicID{id}
 	hs, _, err := opts.SelectPre(pc)
 	if err != nil {
 		return nil, 0, err

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"treesched/internal/machine"
 	"treesched/internal/sched"
 	"treesched/internal/spm"
 )
@@ -76,7 +77,7 @@ func TestReplaySequentialDegenerate(t *testing.T) {
 		t.Fatal(err)
 	}
 	tr := mustTree(t, p, perm)
-	s, err := sched.ParInnerFirst(tr, 1)
+	s, err := sched.NewPrecompute(tr).Run(sched.IDParInnerFirst, machine.Uniform(1), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

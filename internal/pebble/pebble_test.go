@@ -3,6 +3,7 @@ package pebble_test
 import (
 	"testing"
 
+	"treesched/internal/machine"
 	"treesched/internal/pebble"
 	"treesched/internal/sched"
 	"treesched/internal/traversal"
@@ -148,7 +149,7 @@ func TestInapproxRatioDiverges(t *testing.T) {
 func TestParSubtreesForkWorstCase(t *testing.T) {
 	for _, c := range []struct{ p, k int }{{2, 10}, {4, 8}, {8, 5}} {
 		tr := pebble.ForkTree(c.p, c.k)
-		s, err := sched.ParSubtrees(tr, c.p)
+		s, err := sched.NewPrecompute(tr).Run(sched.IDParSubtrees, machine.Uniform(c.p), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +157,7 @@ func TestParSubtreesForkWorstCase(t *testing.T) {
 		if ms := s.Makespan(tr); ms != want {
 			t.Errorf("p=%d k=%d: ParSubtrees makespan %g, want %g", c.p, c.k, ms, want)
 		}
-		d, err := sched.ParDeepestFirst(tr, c.p)
+		d, err := sched.NewPrecompute(tr).Run(sched.IDParDeepestFirst, machine.Uniform(c.p), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +172,7 @@ func TestParSubtreesForkWorstCase(t *testing.T) {
 func TestParSubtreesOptimFixesFork(t *testing.T) {
 	p, k := 4, 10
 	tr := pebble.ForkTree(p, k)
-	s, err := sched.ParSubtreesOptim(tr, p)
+	s, err := sched.NewPrecompute(tr).Run(sched.IDParSubtreesOptim, machine.Uniform(p), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +189,7 @@ func TestParInnerFirstUnboundedMemory(t *testing.T) {
 		if mseq := traversal.Optimal(tr).Peak; mseq != int64(c.p+1) {
 			t.Fatalf("p=%d k=%d: M_seq = %d, want %d", c.p, c.k, mseq, c.p+1)
 		}
-		s, err := sched.ParInnerFirst(tr, c.p)
+		s, err := sched.NewPrecompute(tr).Run(sched.IDParInnerFirst, machine.Uniform(c.p), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +207,7 @@ func TestParDeepestFirstUnboundedMemory(t *testing.T) {
 		if mseq := traversal.Optimal(tr).Peak; mseq != 3 {
 			t.Fatalf("m=%d: M_seq = %d, want 3", m, mseq)
 		}
-		s, err := sched.ParDeepestFirst(tr, 2)
+		s, err := sched.NewPrecompute(tr).Run(sched.IDParDeepestFirst, machine.Uniform(2), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"testing"
 
-	"treesched/internal/exact"
 	"treesched/internal/machine"
 	"treesched/internal/sched"
 )
@@ -154,7 +153,7 @@ func TestRunExactHonorsMemCapFactor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cap := exact.CapFromFactor(1, res.MemorySeq)
+	cap := sched.CapFromFactor(1, res.MemorySeq)
 	for _, c := range res.Candidates {
 		if c.Err != nil {
 			t.Fatalf("%s failed: %v", c.ID, c.Err)

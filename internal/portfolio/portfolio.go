@@ -61,9 +61,14 @@ func DefaultCandidates() []sched.HeuristicID {
 
 // Candidate is one heuristic's outcome in a race. Either Err is non-nil
 // (the heuristic failed or panicked; the other candidates are unaffected)
-// or the metric fields are valid.
+// or Schedule and the metric fields are valid.
 type Candidate struct {
-	ID       sched.HeuristicID
+	ID sched.HeuristicID
+	// Schedule is the evaluated schedule, so a caller that wants the
+	// winner's (a timeline, a forest plan) takes it from the race instead
+	// of running the heuristic again. Callers that keep a Result beyond
+	// the request should not keep its schedules.
+	Schedule *sched.Schedule
 	Makespan float64
 	// PeakMemory is the exact simulated peak memory of the schedule.
 	PeakMemory int64
@@ -195,7 +200,7 @@ func RunPre(ctx context.Context, pc *sched.Precompute, obj Objective, opts Optio
 		memSeq = pc.MSeq()
 	}
 	if len(schedIDs) != len(ids) {
-		memCap := exact.CapFromFactor(opts.MemCapFactor, memSeq)
+		memCap := sched.CapFromFactor(opts.MemCapFactor, memSeq)
 		full := make([]sched.Heuristic, 0, len(ids))
 		j := 0
 		for i, id := range ids {
@@ -306,13 +311,7 @@ func exactHeuristic(pc *sched.Precompute, memCap, nodes int64, stat *exactStat) 
 		stat.pruned, stat.memoHits = res.Pruned, res.MemoHits
 		return res.Schedule, nil
 	}
-	return sched.Heuristic{
-		ID: sched.IDExact, Name: sched.IDExact.String(),
-		Run: func(t *tree.Tree, p int) (*sched.Schedule, error) {
-			return runOn(t, machine.Uniform(p))
-		},
-		RunOn: runOn,
-	}
+	return sched.Heuristic{ID: sched.IDExact, Name: sched.IDExact.String(), RunOn: runOn}
 }
 
 // race runs every heuristic over t with a bounded goroutine fan-out.
@@ -390,8 +389,9 @@ func race(ctx context.Context, t *tree.Tree, m *machine.Model, hs []sched.Heuris
 	return cands, spans
 }
 
-// runOne executes and measures a single candidate, containing panics.
-// Validation, makespan and peak memory come from one sched.Evaluate pass.
+// runOne executes and measures a single candidate, containing panics, and
+// keeps its schedule. Validation, makespan and peak memory come from one
+// sched.Evaluate pass.
 // The two steps record "schedule" and "evaluate" spans under the
 // candidate's span.
 func runOne(t *tree.Tree, m *machine.Model, h sched.Heuristic, c *Candidate, tr *obs.Trace, span int) {
@@ -414,6 +414,7 @@ func runOne(t *tree.Tree, m *machine.Model, h sched.Heuristic, c *Candidate, tr 
 		c.Err = err
 		return
 	}
+	c.Schedule = s
 	c.Makespan = mk
 	c.PeakMemory = peak
 }

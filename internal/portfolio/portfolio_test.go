@@ -186,7 +186,7 @@ func TestRacePanicContainment(t *testing.T) {
 	tr := portfolioTestTree(t, 6, 30)
 	hs := []sched.Heuristic{
 		{ID: sched.IDParSubtrees, Name: "ParSubtrees", RunOn: func(t *tree.Tree, m *machine.Model) (*sched.Schedule, error) {
-			return sched.ParSubtrees(t, m.P())
+			return sched.NewPrecompute(t).Run(sched.IDParSubtrees, m, 0)
 		}},
 		{ID: sched.IDParDeepestFirst, Name: "boom", RunOn: func(*tree.Tree, *machine.Model) (*sched.Schedule, error) {
 			panic("synthetic heuristic panic")
@@ -221,7 +221,7 @@ func TestRaceRunsConcurrently(t *testing.T) {
 		}
 		time.Sleep(nap)
 		cur.Add(-1)
-		return sched.SequentialSchedule(tr, tr.TopOrder())
+		return sched.SequentialSchedule(tr, machine.Uniform(1), tr.TopOrder())
 	}
 	hs := make([]sched.Heuristic, naps)
 	for i := range hs {
@@ -258,7 +258,7 @@ func TestRaceRespectsParallelismBound(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 		cur.Add(-1)
-		return sched.SequentialSchedule(tr, tr.TopOrder())
+		return sched.SequentialSchedule(tr, machine.Uniform(1), tr.TopOrder())
 	}
 	hs := make([]sched.Heuristic, 8)
 	for i := range hs {

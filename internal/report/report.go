@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 
 	"treesched/internal/dataset"
+	"treesched/internal/machine"
 	"treesched/internal/par"
 	"treesched/internal/sched"
 	"treesched/internal/stats"
@@ -73,7 +74,7 @@ func Run(instances []dataset.Instance, procs []int) ([]Scenario, error) {
 			Memory:   make([]int64, len(ids)),
 		}
 		for i, id := range ids {
-			s, err := pc.Run(id, p, 0)
+			s, err := pc.Run(id, machine.Uniform(p), 0)
 			if err != nil {
 				firstErr.CompareAndSwap(nil, fmt.Errorf("report: %s on %s (p=%d): %w", id, inst.Name, p, err))
 				return

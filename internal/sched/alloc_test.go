@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"treesched/internal/machine"
 	"treesched/internal/traversal"
 	"treesched/internal/tree"
 )
@@ -30,9 +31,9 @@ func TestAllocsListSchedule(t *testing.T) {
 		name string
 		run  func() (*Schedule, error)
 	}{
-		{"ParInnerFirst", func() (*Schedule, error) { return pc.ParInnerFirst(4) }},
-		{"ParDeepestFirst", func() (*Schedule, error) { return pc.ParDeepestFirst(4) }},
-		{"MemCappedBooking", func() (*Schedule, error) { return pc.MemCappedBooking(4, 2*pc.MSeq()) }},
+		{"ParInnerFirst", func() (*Schedule, error) { return pc.Run(IDParInnerFirst, machine.Uniform(4), 0) }},
+		{"ParDeepestFirst", func() (*Schedule, error) { return pc.Run(IDParDeepestFirst, machine.Uniform(4), 0) }},
+		{"MemCappedBooking", func() (*Schedule, error) { return pc.Run(IDMemCappedBooking, machine.Uniform(4), 2*pc.MSeq()) }},
 	} {
 		if _, err := v.run(); err != nil { // warm pool + ranks
 			t.Fatal(err)
@@ -57,20 +58,18 @@ func TestAllocsParSubtrees(t *testing.T) {
 		t.Skip("allocation counts are distorted under the race detector")
 	}
 	pc := NewPrecompute(allocTree(13, 2000))
-	for _, v := range []struct {
-		name string
-		run  func(p int) (*Schedule, error)
-	}{{"ParSubtrees", pc.ParSubtrees}, {"ParSubtreesOptim", pc.ParSubtreesOptim}} {
-		if _, err := v.run(8); err != nil { // warm pools, subtree weights, postorder index
+	m := machine.Uniform(8)
+	for _, id := range []HeuristicID{IDParSubtrees, IDParSubtreesOptim} {
+		if _, err := pc.Run(id, m, 0); err != nil { // warm pools, subtree weights, postorder index
 			t.Fatal(err)
 		}
 		got := testing.AllocsPerRun(20, func() {
-			if _, err := v.run(8); err != nil {
+			if _, err := pc.Run(id, m, 0); err != nil {
 				t.Fatal(err)
 			}
 		})
 		if got > 10 {
-			t.Errorf("%s allocates %.1f/op on a warm pool, want <= 10", v.name, got)
+			t.Errorf("%s allocates %.1f/op on a warm pool, want <= 10", id, got)
 		}
 	}
 }
@@ -89,6 +88,38 @@ func TestAllocsBestPostOrder(t *testing.T) {
 	}
 }
 
+// TestAllocsOptimal: Liu's optimal traversal allocates only the returned
+// order on a warm pool, on every family the core benchmark measures. A
+// caterpillar's spine carries long segment lists up the tree, which
+// recycled per-subtree slices could not hold.
+func TestAllocsOptimal(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are distorted under the race detector")
+	}
+	ws := tree.WeightSpec{WMin: 1, WMax: 10, NMin: 0, NMax: 5, FMin: 1, FMax: 20}
+	families := []struct {
+		name string
+		gen  func(rng *rand.Rand, n int) *tree.Tree
+	}{
+		{"attachment", func(rng *rand.Rand, n int) *tree.Tree { return tree.RandomAttachment(rng, n, ws) }},
+		{"binary", func(rng *rand.Rand, n int) *tree.Tree { return tree.RandomBinary(rng, n, ws) }},
+		{"chain", func(rng *rand.Rand, n int) *tree.Tree { return tree.Chain(rng, n, ws) }},
+		{"fork", func(rng *rand.Rand, n int) *tree.Tree { return tree.Fork(rng, n, ws) }},
+		{"caterpillar", func(rng *rand.Rand, n int) *tree.Tree { return tree.Caterpillar(rng, n/4, 3, ws) }},
+	}
+	for _, fam := range families {
+		for _, n := range []int{1_000, 10_000} {
+			for seed := int64(1); seed <= 3; seed++ {
+				tr := fam.gen(rand.New(rand.NewSource(seed)), n)
+				traversal.Optimal(tr) // warm pool
+				if got := testing.AllocsPerRun(5, func() { traversal.Optimal(tr) }); got > 1 {
+					t.Errorf("%s/%d seed %d: Optimal allocates %.1f/op on a warm pool, want 1 (the order)", fam.name, n, seed, got)
+				}
+			}
+		}
+	}
+}
+
 // TestAllocsPeakMemory: the event-replay simulator is allocation-free on
 // a warm pool (the fast path via the cached peak trivially is; Invalidate
 // forces the replay).
@@ -98,7 +129,7 @@ func TestAllocsPeakMemory(t *testing.T) {
 	}
 	tr := allocTree(9, 2000)
 	pc := NewPrecompute(tr)
-	s, err := pc.ParDeepestFirst(4)
+	s, err := pc.Run(IDParDeepestFirst, machine.Uniform(4), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +149,7 @@ func TestAllocsEvaluate(t *testing.T) {
 	}
 	tr := allocTree(10, 2000)
 	pc := NewPrecompute(tr)
-	s, err := pc.ParInnerFirst(4)
+	s, err := pc.Run(IDParInnerFirst, machine.Uniform(4), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +175,7 @@ func TestAllocsEvaluate(t *testing.T) {
 // coincident pulses may differ).
 func TestCoincidentPulsesReplayCausally(t *testing.T) {
 	tr := tree.MustNew([]int{tree.None, 0}, []float64{0, 0}, []int64{0, 0}, []int64{1, 1})
-	s, err := SequentialSchedule(tr, []int{1, 0})
+	s, err := SequentialSchedule(tr, machine.Uniform(1), []int{1, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,13 +204,13 @@ func TestInlinePeakMatchesSimulator(t *testing.T) {
 		tr := tree.RandomAttachment(rng, 50+rng.Intn(200), ws)
 		pc := NewPrecompute(tr)
 		for _, run := range []func() (*Schedule, error){
-			func() (*Schedule, error) { return pc.ParInnerFirst(3) },
-			func() (*Schedule, error) { return pc.ParDeepestFirst(3) },
-			func() (*Schedule, error) { return pc.ParSubtrees(3) },
-			func() (*Schedule, error) { return pc.ParSubtreesOptim(3) },
-			func() (*Schedule, error) { return pc.MemCapped(3, 3*pc.MSeq()) },
-			func() (*Schedule, error) { return pc.MemCappedBooking(3, 3*pc.MSeq()) },
-			func() (*Schedule, error) { return SequentialSchedule(pc.Tree(), pc.Order()) },
+			func() (*Schedule, error) { return pc.Run(IDParInnerFirst, machine.Uniform(3), 0) },
+			func() (*Schedule, error) { return pc.Run(IDParDeepestFirst, machine.Uniform(3), 0) },
+			func() (*Schedule, error) { return pc.Run(IDParSubtrees, machine.Uniform(3), 0) },
+			func() (*Schedule, error) { return pc.Run(IDParSubtreesOptim, machine.Uniform(3), 0) },
+			func() (*Schedule, error) { return pc.Run(IDMemCapped, machine.Uniform(3), 3*pc.MSeq()) },
+			func() (*Schedule, error) { return pc.Run(IDMemCappedBooking, machine.Uniform(3), 3*pc.MSeq()) },
+			func() (*Schedule, error) { return SequentialSchedule(pc.Tree(), machine.Uniform(3), pc.Order()) },
 		} {
 			s, err := run()
 			if err != nil {

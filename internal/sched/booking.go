@@ -7,8 +7,8 @@ import (
 	"treesched/internal/tree"
 )
 
-// MemCappedBooking schedules t on p processors under a hard peak-memory
-// cap, like MemCapped, but with far more parallelism: instead of activating
+// memCappedBooking schedules pc's tree on m under a hard peak-memory cap,
+// like memCapped, but with far more parallelism: instead of activating
 // tasks strictly in the order of the reference traversal σ (the
 // memory-optimal postorder), it admits *any* ready task in deepest-first
 // priority, provided the task's footprint fits in the memory budget that is
@@ -21,29 +21,11 @@ import (
 // non-increasing in next and any resident file is either part of the
 // σ-prefix state or charged to the budget, σ[next] can always start once
 // the machine drains — the scheduler never deadlocks and never exceeds cap.
+// The invariant is purely about memory, so speeds leave it untouched; the
+// machine decides processor picks (fastest-first) and execution times.
 //
 // It returns an error if cap is below the sequential requirement of σ.
-func MemCappedBooking(t *tree.Tree, p int, cap int64) (*Schedule, error) {
-	return NewPrecompute(t).MemCappedBooking(p, cap)
-}
-
-// MemCappedBooking is the precompute-sharing form of the package-level
-// function: σ, its inverse, the booking suffix maxima and the admission
-// ranking all come from the shared context.
-func (pc *Precompute) MemCappedBooking(p int, cap int64) (*Schedule, error) {
-	m, err := uniformChecked(p)
-	if err != nil {
-		return nil, err
-	}
-	return pc.MemCappedBookingOn(m, cap)
-}
-
-// MemCappedBookingOn is MemCappedBooking on an explicit machine model.
-// The booking invariant is purely about memory, so it is untouched by
-// speeds; the machine decides processor picks (fastest-first) and
-// execution times. On a uniform model it is byte-identical to the
-// processor-count form.
-func (pc *Precompute) MemCappedBookingOn(m *machine.Model, cap int64) (*Schedule, error) {
+func memCappedBooking(pc *Precompute, m *machine.Model, cap int64) (*Schedule, error) {
 	t := pc.t
 	n := t.Len()
 	s := &Schedule{Start: make([]float64, n), Proc: make([]int, n), P: m.P(), M: hetModel(m)}

@@ -16,12 +16,12 @@ func TestMemCappedBookingValidAndWithinCap(t *testing.T) {
 		tr := randomTree(rng, 2+rng.Intn(150))
 		mseq := sched.MemoryLowerBound(tr)
 		for _, p := range []int{2, 8} {
-			if _, err := sched.MemCappedBooking(tr, p, mseq-1); err == nil {
+			if _, err := runP(tr, sched.IDMemCappedBooking, p, mseq-1); err == nil {
 				t.Fatalf("cap below M_seq accepted")
 			}
 			for _, mult := range []int64{1, 2, 10} {
 				cap := mult * mseq
-				s, err := sched.MemCappedBooking(tr, p, cap)
+				s, err := runP(tr, sched.IDMemCappedBooking, p, cap)
 				if err != nil {
 					t.Fatalf("MemCappedBooking(cap=%d): %v", cap, err)
 				}
@@ -38,7 +38,7 @@ func TestMemCappedBookingValidAndWithinCap(t *testing.T) {
 
 func TestMemCappedBookingRejectsBadProcs(t *testing.T) {
 	tr := tree.MustNew([]int{tree.None}, []float64{1}, []int64{0}, []int64{1})
-	if _, err := sched.MemCappedBooking(tr, 0, 10); err == nil {
+	if _, err := selectCapped(t, tr, sched.IDMemCappedBooking).Run(tr, 0); err == nil {
 		t.Fatal("p=0 accepted")
 	}
 }
@@ -52,11 +52,11 @@ func TestBookingBeatsActivationOrder(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		tr := randomTree(rng, 50+rng.Intn(150))
 		cap := 8 * sched.MemoryLowerBound(tr)
-		sb, err := sched.MemCappedBooking(tr, 8, cap)
+		sb, err := runP(tr, sched.IDMemCappedBooking, 8, cap)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sa, err := sched.MemCapped(tr, 8, cap)
+		sa, err := runP(tr, sched.IDMemCapped, 8, cap)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,11 +81,11 @@ func TestBookingWithHugeCapNearsListScheduling(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	for trial := 0; trial < 20; trial++ {
 		tr := randomTree(rng, 50+rng.Intn(100))
-		s, err := sched.MemCappedBooking(tr, 4, 1<<60)
+		s, err := runP(tr, sched.IDMemCappedBooking, 4, 1<<60)
 		if err != nil {
 			t.Fatal(err)
 		}
-		d, err := sched.ParDeepestFirst(tr, 4)
+		d, err := runP(tr, sched.IDParDeepestFirst, 4, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,7 +103,7 @@ func TestBookingOnSpiderRespectsTightCap(t *testing.T) {
 	tr := pebble.SpiderTree(20, 4)
 	mseq := sched.MemoryLowerBound(tr) // 3
 	cap := mseq + 2
-	s, err := sched.MemCappedBooking(tr, 4, cap)
+	s, err := runP(tr, sched.IDMemCappedBooking, 4, cap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestBookingOnSpiderRespectsTightCap(t *testing.T) {
 		t.Fatalf("cap %d violated: %d", cap, m)
 	}
 	// Sanity: unconstrained deepest-first uses far more than the cap here.
-	d, err := sched.ParDeepestFirst(tr, 4)
+	d, err := runP(tr, sched.IDParDeepestFirst, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestBookingSequentialCapIsSequentialPeak(t *testing.T) {
 	rng := rand.New(rand.NewSource(54))
 	tr := tree.Chain(rng, 60, tree.PebbleWeights)
 	mseq := sched.MemoryLowerBound(tr)
-	s, err := sched.MemCappedBooking(tr, 8, mseq)
+	s, err := runP(tr, sched.IDMemCappedBooking, 8, mseq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestBookingSequentialCapIsSequentialPeak(t *testing.T) {
 
 func TestBookingEmptyTree(t *testing.T) {
 	empty, _ := tree.New(nil, nil, nil, nil)
-	s, err := sched.MemCappedBooking(empty, 3, 0)
+	s, err := runP(empty, sched.IDMemCappedBooking, 3, 0)
 	if err != nil || s.Makespan(empty) != 0 {
 		t.Fatalf("empty tree: %v", err)
 	}
@@ -154,11 +154,11 @@ func TestBookingMakespanMonotonicTrend(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		tr := randomTree(rng, 80+rng.Intn(80))
 		mseq := sched.MemoryLowerBound(tr)
-		st, err := sched.MemCappedBooking(tr, 8, mseq)
+		st, err := runP(tr, sched.IDMemCappedBooking, 8, mseq)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sl, err := sched.MemCappedBooking(tr, 8, 16*mseq)
+		sl, err := runP(tr, sched.IDMemCappedBooking, 8, 16*mseq)
 		if err != nil {
 			t.Fatal(err)
 		}

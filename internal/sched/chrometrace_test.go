@@ -25,7 +25,7 @@ func chromeTraceFor(t *testing.T) (*tree.Tree, []byte) {
 	}
 	tr := insts[0].Tree
 	opts := sched.Options{Processors: 4, Heuristics: []sched.HeuristicID{sched.IDParSubtrees}}
-	hs, _, err := opts.SelectFor(tr)
+	hs, _, err := opts.SelectPre(sched.NewPrecompute(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestChromeTraceHeterogeneous(t *testing.T) {
 	}
 	opts := sched.Options{Processors: m.P(), Machine: m,
 		Heuristics: []sched.HeuristicID{sched.IDParSubtrees}}
-	hs, _, err := opts.SelectFor(tr)
+	hs, _, err := opts.SelectPre(sched.NewPrecompute(tr))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,6 +3,7 @@ package sched
 import (
 	"testing"
 
+	"treesched/internal/machine"
 	"treesched/internal/traversal"
 )
 
@@ -22,7 +23,7 @@ func benchTreeAndPC(b *testing.B) (*Precompute, int) {
 func BenchmarkCoreParInnerFirst(b *testing.B) {
 	pc, p := benchTreeAndPC(b)
 	for i := 0; i < b.N; i++ {
-		if _, err := pc.ParInnerFirst(p); err != nil {
+		if _, err := pc.Run(IDParInnerFirst, machine.Uniform(p), 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -31,7 +32,7 @@ func BenchmarkCoreParInnerFirst(b *testing.B) {
 func BenchmarkCoreParDeepestFirst(b *testing.B) {
 	pc, p := benchTreeAndPC(b)
 	for i := 0; i < b.N; i++ {
-		if _, err := pc.ParDeepestFirst(p); err != nil {
+		if _, err := pc.Run(IDParDeepestFirst, machine.Uniform(p), 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -40,7 +41,7 @@ func BenchmarkCoreParDeepestFirst(b *testing.B) {
 func BenchmarkCoreParSubtrees(b *testing.B) {
 	pc, p := benchTreeAndPC(b)
 	for i := 0; i < b.N; i++ {
-		if _, err := pc.ParSubtrees(p); err != nil {
+		if _, err := pc.Run(IDParSubtrees, machine.Uniform(p), 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -49,7 +50,7 @@ func BenchmarkCoreParSubtrees(b *testing.B) {
 func BenchmarkCoreParSubtreesOptim(b *testing.B) {
 	pc, p := benchTreeAndPC(b)
 	for i := 0; i < b.N; i++ {
-		if _, err := pc.ParSubtreesOptim(p); err != nil {
+		if _, err := pc.Run(IDParSubtreesOptim, machine.Uniform(p), 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -77,7 +78,7 @@ func BenchmarkCoreMemCappedBooking(b *testing.B) {
 	pc, p := benchTreeAndPC(b)
 	cap := 2 * pc.MSeq()
 	for i := 0; i < b.N; i++ {
-		if _, err := pc.MemCappedBooking(p, cap); err != nil {
+		if _, err := pc.Run(IDMemCappedBooking, machine.Uniform(p), cap); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -112,7 +113,7 @@ func BenchmarkCorePrecompute(b *testing.B) {
 
 func BenchmarkCorePeakMemoryReplay(b *testing.B) {
 	pc, p := benchTreeAndPC(b)
-	s, err := pc.ParInnerFirst(p)
+	s, err := pc.Run(IDParInnerFirst, machine.Uniform(p), 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -125,7 +126,7 @@ func BenchmarkCorePeakMemoryReplay(b *testing.B) {
 
 func BenchmarkCoreEvaluate(b *testing.B) {
 	pc, p := benchTreeAndPC(b)
-	s, err := pc.ParInnerFirst(p)
+	s, err := pc.Run(IDParInnerFirst, machine.Uniform(p), 0)
 	if err != nil {
 		b.Fatal(err)
 	}

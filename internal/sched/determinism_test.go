@@ -37,8 +37,8 @@ func TestCappedSchedulersDeterministic(t *testing.T) {
 	tr := randomTree(rng, 120)
 	cap := 3 * sched.MemoryLowerBound(tr)
 	for _, f := range []func() (*sched.Schedule, error){
-		func() (*sched.Schedule, error) { return sched.MemCapped(tr, 4, cap) },
-		func() (*sched.Schedule, error) { return sched.MemCappedBooking(tr, 4, cap) },
+		func() (*sched.Schedule, error) { return runP(tr, sched.IDMemCapped, 4, cap) },
+		func() (*sched.Schedule, error) { return runP(tr, sched.IDMemCappedBooking, 4, cap) },
 	} {
 		s1, err := f()
 		if err != nil {

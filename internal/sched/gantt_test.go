@@ -12,7 +12,7 @@ import (
 func TestGanttRendersAllProcessors(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	tr := randomTree(rng, 30)
-	s, err := sched.ParDeepestFirst(tr, 3)
+	s, err := runP(tr, sched.IDParDeepestFirst, 3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestUtilization(t *testing.T) {
 func TestUtilizationSequentialIsOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	tr := randomTree(rng, 40)
-	s, err := sched.ParInnerFirst(tr, 1)
+	s, err := runP(tr, sched.IDParInnerFirst, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -88,7 +88,7 @@ func TestGoldenSchedulesQuickDataset(t *testing.T) {
 	got := make(map[string]string)
 	for _, inst := range insts {
 		for _, cfg := range goldenConfigs() {
-			hs, _, err := cfg.opts.SelectFor(inst.Tree)
+			hs, _, err := cfg.opts.SelectPre(sched.NewPrecompute(inst.Tree))
 			if err != nil {
 				t.Fatalf("%s %s: %v", inst.Name, cfg.name, err)
 			}

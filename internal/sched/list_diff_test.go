@@ -13,8 +13,8 @@ import (
 // checkListSchedulersAgainstReference compares the rank permutations, the
 // ready set and the event loop with their references (list_ref_test.go)
 // on t with p processors: each of the four rank permutations must be the
-// comparator order, and ParInnerFirst, ParInnerFirstArbitrary (package
-// level and Precompute), ParDeepestFirst, MemCapped and MemCappedBooking
+// comparator order, and ParInnerFirst, ParInnerFirstArbitrary (through
+// Precompute.Run and ByName), ParDeepestFirst, MemCapped and MemCappedBooking
 // (cap factors 1, 1.5 and 3) must give the same start times, processors
 // and cached peak on the uniform machine and on a heterogeneous one.
 func checkListSchedulersAgainstReference(t *tree.Tree, p int) error {
@@ -52,23 +52,24 @@ func checkListSchedulersAgainstReference(t *tree.Tree, p int) error {
 	}
 	for _, m := range []*machine.Model{machine.Uniform(p), het} {
 		runs := []run{
-			{"ParInnerFirst", func() (*Schedule, error) { return pc.ParInnerFirstOn(m) },
+			{"ParInnerFirst", func() (*Schedule, error) { return pc.Run(IDParInnerFirst, m, 0) },
 				func() (*Schedule, error) { return refListScheduleRank(t, m, ref.inner) }},
-			{"ParInnerFirstArbitrary", func() (*Schedule, error) { return pc.ParInnerFirstArbitraryOn(m) },
+			{"ParInnerFirstArbitrary", func() (*Schedule, error) { return pc.Run(IDParInnerFirstArbitrary, m, 0) },
 				func() (*Schedule, error) { return refListScheduleRank(t, m, ref.innerArb) }},
-			{"ParDeepestFirst", func() (*Schedule, error) { return pc.ParDeepestFirstOn(m) },
+			{"ParDeepestFirst", func() (*Schedule, error) { return pc.Run(IDParDeepestFirst, m, 0) },
 				func() (*Schedule, error) { return refListScheduleRank(t, m, ref.deep) }},
 		}
 		if m.IsUniform() {
-			runs = append(runs, run{"package ParInnerFirstArbitrary", func() (*Schedule, error) { return ParInnerFirstArbitrary(t, p) },
+			arb, _ := ByName("ParInnerFirstArbitrary")
+			runs = append(runs, run{"ByName ParInnerFirstArbitrary", func() (*Schedule, error) { return arb.Run(t, p) },
 				func() (*Schedule, error) { return refListScheduleRank(t, m, ref.innerArb) }})
 		}
 		for _, factor := range []float64{1, 1.5, 3} {
-			cap := capFromFactor(factor, pc.MSeq())
+			cap := CapFromFactor(factor, pc.MSeq())
 			runs = append(runs,
-				run{fmt.Sprintf("MemCapped ×%g", factor), func() (*Schedule, error) { return pc.MemCappedOn(m, cap) },
+				run{fmt.Sprintf("MemCapped ×%g", factor), func() (*Schedule, error) { return pc.Run(IDMemCapped, m, cap) },
 					func() (*Schedule, error) { return refMemCapped(pc, m, cap) }},
-				run{fmt.Sprintf("MemCappedBooking ×%g", factor), func() (*Schedule, error) { return pc.MemCappedBookingOn(m, cap) },
+				run{fmt.Sprintf("MemCappedBooking ×%g", factor), func() (*Schedule, error) { return pc.Run(IDMemCappedBooking, m, cap) },
 					func() (*Schedule, error) { return refMemCappedBooking(pc, m, cap, ref.book) }})
 		}
 		for _, r := range runs {

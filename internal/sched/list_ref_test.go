@@ -297,7 +297,7 @@ func refListScheduleRank(t *tree.Tree, m *machine.Model, rank []uint64) (*Schedu
 	return s, nil
 }
 
-// refMemCapped is the reference MemCappedOn.
+// refMemCapped is the reference memCapped.
 func refMemCapped(pc *Precompute, m *machine.Model, cap int64) (*Schedule, error) {
 	t := pc.t
 	if pc.MSeq() > cap {
@@ -367,7 +367,7 @@ func refMemCapped(pc *Precompute, m *machine.Model, cap int64) (*Schedule, error
 	return s, nil
 }
 
-// refMemCappedBooking is the reference MemCappedBookingOn, admitting in the
+// refMemCappedBooking is the reference memCappedBooking, admitting in the
 // order of the booking keys rank.
 func refMemCappedBooking(pc *Precompute, m *machine.Model, cap int64, rank []uint64) (*Schedule, error) {
 	t := pc.t

@@ -15,10 +15,10 @@ import (
 )
 
 // TestGoldenUniformMachineMatches proves the machine-model refactor safe:
-// every heuristic run through the explicit machine layer on
-// machine.Uniform(p) must reproduce the pre-refactor golden hashes
-// byte-for-byte — same start-time bits, same processor assignments, same
-// peak — for every heuristic × quick-tree family.
+// every heuristic run through Precompute.Run on machine.Uniform(p) must
+// reproduce the pre-refactor golden hashes byte-for-byte — same
+// start-time bits, same processor assignments, same peak — for every
+// heuristic × quick-tree family.
 func TestGoldenUniformMachineMatches(t *testing.T) {
 	b, err := os.ReadFile(filepath.Join("testdata", "golden_quick.json"))
 	if err != nil {
@@ -35,16 +35,11 @@ func TestGoldenUniformMachineMatches(t *testing.T) {
 	checked := 0
 	for _, inst := range insts {
 		for _, cfg := range goldenConfigs() {
-			// Route through the explicit machine model: Machine set,
-			// Processors left 0, schedules produced by RunOn.
-			opts := cfg.opts
-			m := machine.Uniform(opts.Processors)
-			opts.Machine, opts.Processors = m, 0
-			hs, _, err := opts.SelectFor(inst.Tree)
-			if err != nil {
-				t.Fatalf("%s %s: %v", inst.Name, cfg.name, err)
-			}
-			s, err := hs[0].RunOn(inst.Tree, m)
+			// Route through Precompute.Run on the explicit uniform model
+			// (the other golden test goes through Options and Heuristic.Run).
+			pc := sched.NewPrecompute(inst.Tree)
+			m := machine.Uniform(cfg.opts.Processors)
+			s, err := pc.Run(cfg.opts.Heuristics[0], m, sched.CapFromFactor(cfg.opts.MemCapFactor, pc.MSeq()))
 			if err != nil {
 				t.Fatalf("%s %s: %v", inst.Name, cfg.name, err)
 			}
@@ -85,7 +80,7 @@ func TestHeterogeneousInvariants(t *testing.T) {
 		tr := tree.RandomAttachment(rng, 40+rng.Intn(160), ws)
 		pc := sched.NewPrecompute(tr)
 		for _, id := range hetHeuristics {
-			s, err := pc.RunOn(id, m, 2)
+			s, err := pc.Run(id, m, sched.CapFromFactor(2, pc.MSeq()))
 			if err != nil {
 				t.Fatalf("trial %d %s: %v", trial, id, err)
 			}
@@ -138,7 +133,7 @@ func TestHeterogeneousUsesSpeeds(t *testing.T) {
 		t.Fatal(err)
 	}
 	pc := sched.NewPrecompute(tr)
-	s, err := pc.ParDeepestFirstOn(m)
+	s, err := pc.Run(sched.IDParDeepestFirst, m, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@ import (
 	"treesched/internal/tree"
 )
 
-// MemCapped schedules t on p processors under a hard peak-memory cap. It
+// memCapped schedules pc's tree on m under a hard peak-memory cap. It
 // implements the activation-order strategy suggested by the paper's future
 // work (§7, "scheduling algorithms that take as input a cap on the memory
 // usage"):
@@ -17,29 +17,13 @@ import (
 // (a) its children have completed and (b) starting it keeps resident memory
 // within the cap. Up to p tasks run concurrently. Because memory along σ
 // never exceeds the cap when tasks are executed one at a time, the scheduler
-// can always fall back to sequential progress: it never deadlocks.
+// can always fall back to sequential progress: it never deadlocks. The cap
+// logic is speed-independent; processors are picked fastest-first and tasks
+// run in w/s_proc time.
 //
-// MemCapped returns an error if the cap is below the sequential requirement
+// memCapped returns an error if the cap is below the sequential requirement
 // M_seq of σ (no schedule following σ can respect it).
-func MemCapped(t *tree.Tree, p int, cap int64) (*Schedule, error) {
-	return NewPrecompute(t).MemCapped(p, cap)
-}
-
-// MemCapped is the precompute-sharing form of the package-level function:
-// σ and M_seq come from the shared context instead of a fresh traversal.
-func (pc *Precompute) MemCapped(p int, cap int64) (*Schedule, error) {
-	m, err := uniformChecked(p)
-	if err != nil {
-		return nil, err
-	}
-	return pc.MemCappedOn(m, cap)
-}
-
-// MemCappedOn is MemCapped on an explicit machine model: activation still
-// follows σ (the cap logic is speed-independent), while processors are
-// picked fastest-first and tasks run in w/s_proc time. On a uniform model
-// it is byte-identical to the processor-count form.
-func (pc *Precompute) MemCappedOn(m *machine.Model, cap int64) (*Schedule, error) {
+func memCapped(pc *Precompute, m *machine.Model, cap int64) (*Schedule, error) {
 	t := pc.t
 	if pc.MSeq() > cap {
 		return nil, fmt.Errorf("sched: memory cap %d below sequential requirement %d", cap, pc.MSeq())

@@ -17,22 +17,57 @@ import (
 type HeuristicID int
 
 const (
-	// The paper's four heuristics, in Table 1 order.
+	// IDParSubtrees is the memory-focused heuristic of paper §5.1 (Alg. 1):
+	// the tree is split into subtrees by SplitSubtrees; the p heaviest
+	// subtrees run concurrently, one per processor, each traversed with the
+	// memory-optimal sequential postorder; every remaining node (merge
+	// nodes and surplus subtrees) is then processed sequentially, again in
+	// memory-minimizing order. It is a (p+1)-approximation for peak memory
+	// and a p-approximation for makespan.
 	IDParSubtrees HeuristicID = iota
+	// IDParSubtreesOptim is the makespan optimization of ParSubtrees (paper
+	// §5.1): all subtrees produced by the splitting — not only the p
+	// heaviest — are allocated to the processors in LPT fashion (heaviest
+	// first onto the least-loaded processor), and only the merge nodes run
+	// sequentially. It typically improves the makespan at the price of
+	// some extra memory.
 	IDParSubtreesOptim
+	// IDParInnerFirst is the parallel-postorder heuristic of paper §5.2,
+	// built on the list scheduler (Alg. 3): ready inner nodes always
+	// precede ready leaves; inner nodes are ordered by non-increasing
+	// depth; leaves follow the memory-optimal sequential postorder. Being
+	// a list scheduling, it is a (2-1/p)-approximation for the makespan;
+	// its memory use is unbounded relative to M_seq (paper Fig. 4).
 	IDParInnerFirst
+	// IDParDeepestFirst is the makespan-focused heuristic of paper §5.3:
+	// ready nodes are ordered by non-increasing w-weighted distance to the
+	// root (including their own w — the deepest node starts the critical
+	// path), with inner nodes before leaves and the optimal sequential
+	// postorder breaking remaining ties. Its memory use is unbounded
+	// relative to M_seq (paper Fig. 5). On a heterogeneous machine the
+	// ranking stays the tree's (speeds scale execution, not the
+	// critical-path structure); the machine decides which processor a
+	// ready task lands on and how long it runs.
 	IDParDeepestFirst
-	// IDParInnerFirstArbitrary is the leaf-order ablation of ParInnerFirst.
+	// IDParInnerFirstArbitrary is ParInnerFirst with an arbitrary (natural
+	// index) leaf order instead of the optimal sequential postorder: the
+	// ablation baseline for the role of the input order O in Algorithm 3.
 	IDParInnerFirstArbitrary
 	// IDSequential is the memory lower-bound baseline: the memory-optimal
-	// postorder executed on a single processor.
+	// postorder executed on a single processor (the fastest one of a
+	// heterogeneous machine).
 	IDSequential
 	// IDOptimalSequential is Liu's exact optimal sequential traversal
-	// (may beat every postorder), executed on a single processor.
+	// (may beat every postorder), executed like IDSequential.
 	IDOptimalSequential
-	// IDMemCapped and IDMemCappedBooking schedule under a hard memory cap
-	// (Options.MemCapFactor × M_seq).
+	// IDMemCapped schedules under a hard memory cap, the paper's future
+	// work (§7): tasks start in the order of the memory-optimal postorder
+	// σ, each as soon as its children are done and the cap allows.
 	IDMemCapped
+	// IDMemCappedBooking schedules under a hard memory cap with far more
+	// parallelism: it admits any ready task, deepest first, whose
+	// footprint fits in the memory not booked for σ's future needs.
+	// Options sets both caps to CapFromFactor(MemCapFactor, M_seq).
 	IDMemCappedBooking
 	// IDExact is the exact-solver pseudo-heuristic: a valid wire name
 	// ("Exact") but not runnable by this package — the branch-and-bound
@@ -149,7 +184,7 @@ type Options struct {
 	// Empty means the paper's four heuristics.
 	Heuristics []HeuristicID
 	// MemCapFactor sets the memory cap of IDMemCapped and
-	// IDMemCappedBooking to MemCapFactor × MemoryLowerBound(t). It must be
+	// IDMemCappedBooking to CapFromFactor(MemCapFactor, M_seq). It must be
 	// >= 1 when a capped heuristic is selected and is ignored otherwise.
 	MemCapFactor float64
 }
@@ -191,35 +226,12 @@ func (o Options) Validate() error {
 	return nil
 }
 
-// Select resolves o into runnable heuristics. Each heuristic builds its
-// per-tree Precompute on every Run call; callers scheduling one tree more
-// than once (or several heuristics on the same tree) should use SelectFor
-// or SelectPre so the precompute is shared.
-func (o Options) Select() ([]Heuristic, error) {
-	if err := o.Validate(); err != nil {
-		return nil, err
-	}
-	ids := o.heuristicIDs()
-	hs := make([]Heuristic, 0, len(ids))
-	for _, id := range ids {
-		hs = append(hs, o.heuristic(id, nil, nil))
-	}
-	return hs, nil
-}
-
-// SelectFor is Select specialized to a single tree: one Precompute — the
-// memory-optimal postorder σ, M_seq, depths, priority rankings — is built
-// here and shared by every returned heuristic, across repeated Run calls
-// and processor counts. M_seq is returned alongside. The returned
-// heuristics must only be run on t.
-func (o Options) SelectFor(t *tree.Tree) ([]Heuristic, int64, error) {
-	return o.SelectPre(NewPrecompute(t))
-}
-
-// SelectPre is SelectFor for callers that already hold the tree's
-// Precompute (the portfolio racer, the forest planner), so the scheduling
-// core computes Liu's traversal exactly once per tree no matter how many
-// layers are stacked on top.
+// SelectPre resolves o into runnable heuristics bound to pc's tree, and
+// returns M_seq alongside. Every returned heuristic shares pc, so the
+// scheduling core computes Liu's traversal exactly once per tree no matter
+// how many layers are stacked on top; MemCapFactor becomes one absolute
+// cap, and both ParSubtrees variants share one splitting per p. The
+// returned heuristics must only be run on pc's tree.
 func (o Options) SelectPre(pc *Precompute) ([]Heuristic, int64, error) {
 	if err := o.Validate(); err != nil {
 		return nil, 0, err
@@ -231,9 +243,17 @@ func (o Options) SelectPre(pc *Precompute) ([]Heuristic, int64, error) {
 	if slices.Contains(ids, IDParSubtrees) || slices.Contains(ids, IDParSubtreesOptim) {
 		share = new(splitShare)
 	}
+	cap := CapFromFactor(o.MemCapFactor, pc.MSeq())
 	hs := make([]Heuristic, 0, len(ids))
 	for _, id := range ids {
-		hs = append(hs, o.heuristic(id, pc, share))
+		hs = append(hs, Heuristic{ID: id, Name: id.String(),
+			RunOn: func(t *tree.Tree, m *machine.Model) (*Schedule, error) {
+				if t != pc.t {
+					return nil, fmt.Errorf("sched: heuristic %s was selected for a different tree (SelectPre binds its heuristics to one tree)", id)
+				}
+				return pc.run(id, m, cap, share)
+			},
+		})
 	}
 	return hs, pc.MSeq(), nil
 }
@@ -243,34 +263,6 @@ func (o Options) heuristicIDs() []HeuristicID {
 		return PaperHeuristics()
 	}
 	return o.Heuristics
-}
-
-// heuristic binds id to pc (nil: a fresh Precompute per Run call) and to
-// the selection's splitting share (nil with pc nil). The contract of
-// SelectFor/SelectPre is that the bound heuristics only run on pc's tree;
-// passing any other tree is rejected rather than silently scheduling with
-// the wrong precompute.
-func (o Options) heuristic(id HeuristicID, pc *Precompute, share *splitShare) Heuristic {
-	factor := o.MemCapFactor
-	runOn := func(t *tree.Tree, m *machine.Model) (*Schedule, error) {
-		ctx := pc
-		if ctx == nil {
-			ctx = NewPrecompute(t)
-		} else if t != ctx.t {
-			return nil, fmt.Errorf("sched: heuristic %s was selected for a different tree (SelectFor binds its heuristics to one tree)", id)
-		}
-		return ctx.runOn(id, m, factor, share)
-	}
-	return Heuristic{ID: id, Name: id.String(),
-		Run: func(t *tree.Tree, p int) (*Schedule, error) {
-			m, err := uniformChecked(p)
-			if err != nil {
-				return nil, err
-			}
-			return runOn(t, m)
-		},
-		RunOn: runOn,
-	}
 }
 
 func errUnrunnable(id HeuristicID) error {
@@ -283,54 +275,47 @@ func errUnrunnable(id HeuristicID) error {
 	return fmt.Errorf("sched: heuristic id %d is not runnable", int(id))
 }
 
-// capFromFactor converts a cap expressed as a multiple of M_seq into an
-// absolute cap, rounding up so the cap never undershoots the requested
-// factor × M_seq through float truncation and factor 1.0 is always
-// feasible sequentially. Products beyond int64 range saturate at
-// MaxInt64 (an effectively unlimited cap) instead of overflowing.
-func capFromFactor(factor float64, mseq int64) int64 {
+// CapFromFactor converts a memory cap expressed as a multiple of M_seq
+// into the absolute cap every layer uses: ⌈factor × M_seq⌉, computed in
+// float64 (so 1.1 × 100 gives 111, one above the exact product: a cap
+// never undershoots the requested factor through float rounding). A
+// factor of at least 1 never yields less than M_seq, so the sequential
+// traversal always fits. An unset factor (≤ 0, or NaN) and products
+// beyond int64 range mean no cap: math.MaxInt64.
+func CapFromFactor(factor float64, mseq int64) int64 {
+	if !(factor > 0) {
+		return math.MaxInt64
+	}
 	prod := math.Ceil(factor * float64(mseq))
 	if prod >= float64(math.MaxInt64) {
 		return math.MaxInt64
 	}
 	cap := int64(prod)
-	if cap < mseq {
+	if factor >= 1 && cap < mseq {
 		cap = mseq
 	}
 	return cap
 }
 
-// SequentialSchedule lays order out back to back on a single processor.
-// order must be a topological order of t (children before parents); a
-// non-topological order yields an invalid schedule, which Validate
-// detects. Validation is left to the caller so hot paths that always pass
-// a correct order (the service, the CLI) don't pay for it twice.
-func SequentialSchedule(t *tree.Tree, order []int) (*Schedule, error) {
+// SequentialSchedule lays order out back to back on one processor of m:
+// processor 0 of a uniform machine (a one-processor schedule, as the
+// paper's baselines have it), the fastest processor of a heterogeneous
+// one, speed-scaled. order must be a topological order of t (children
+// before parents); a non-topological order yields an invalid schedule,
+// which Validate detects. Validation is left to the caller so hot paths
+// that always pass a correct order don't pay for it twice.
+func SequentialSchedule(t *tree.Tree, m *machine.Model, order []int) (*Schedule, error) {
 	n := t.Len()
 	if len(order) != n {
 		return nil, fmt.Errorf("sched: sequential: order covers %d of %d nodes", len(order), n)
 	}
 	s := &Schedule{Start: make([]float64, n), Proc: make([]int, n), P: 1}
-	sequentialFill(t, s, order)
-	return s, nil
-}
-
-// SequentialScheduleOn is the sequential baseline on an explicit machine
-// model: on a uniform model it is SequentialSchedule (the historical
-// one-processor schedule); on a heterogeneous model every task runs back
-// to back on the machine's fastest processor, speed-scaled.
-func SequentialScheduleOn(t *tree.Tree, m *machine.Model, order []int) (*Schedule, error) {
-	if m.IsUniform() {
-		return SequentialSchedule(t, order)
-	}
-	n := t.Len()
-	if len(order) != n {
-		return nil, fmt.Errorf("sched: sequential: order covers %d of %d nodes", len(order), n)
-	}
-	s := &Schedule{Start: make([]float64, n), Proc: make([]int, n), P: m.P(), M: m}
-	proc := m.Fastest()
-	for i := range s.Proc {
-		s.Proc[i] = proc
+	if !m.IsUniform() {
+		s.P, s.M = m.P(), m
+		proc := m.Fastest()
+		for i := range s.Proc {
+			s.Proc[i] = proc
+		}
 	}
 	sequentialFill(t, s, order)
 	return s, nil

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"treesched/internal/machine"
 	"treesched/internal/traversal"
 	"treesched/internal/tree"
 )
@@ -106,7 +107,8 @@ func TestOptionsValidate(t *testing.T) {
 }
 
 func TestOptionsSelectDefaultsToPaperFour(t *testing.T) {
-	hs, err := (Options{Processors: 4}).Select()
+	tr := optionsTestTree(t)
+	hs, _, err := (Options{Processors: 4}).SelectPre(NewPrecompute(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +116,6 @@ func TestOptionsSelectDefaultsToPaperFour(t *testing.T) {
 	if len(hs) != len(want) {
 		t.Fatalf("got %d heuristics, want %d", len(hs), len(want))
 	}
-	tr := optionsTestTree(t)
 	for i, h := range hs {
 		if h.Name != want[i].Name {
 			t.Errorf("heuristic %d: %q, want %q", i, h.Name, want[i].Name)
@@ -139,7 +140,7 @@ func TestOptionsSequentialBaselines(t *testing.T) {
 		Processors: 4, // ignored by the sequential baselines
 		Heuristics: []HeuristicID{IDSequential, IDOptimalSequential},
 	}
-	hs, err := opts.Select()
+	hs, _, err := opts.SelectPre(NewPrecompute(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestOptionsMemCapped(t *testing.T) {
 		Heuristics:   []HeuristicID{IDMemCapped, IDMemCappedBooking},
 		MemCapFactor: 1.5,
 	}
-	hs, err := opts.Select()
+	hs, _, err := opts.SelectPre(NewPrecompute(tr))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,12 +192,42 @@ func TestOptionsMemCapped(t *testing.T) {
 	}
 }
 
+// TestCapFromFactor pins the one cap rule of every layer (the selection,
+// the exact solver, the forest, the service's timeline and the CLIs):
+// ⌈factor × M_seq⌉ in float64, saturating, with an unset factor meaning
+// no cap.
+func TestCapFromFactor(t *testing.T) {
+	cases := []struct {
+		factor float64
+		mseq   int64
+		want   int64
+	}{
+		{0, 100, math.MaxInt64},
+		{-1, 100, math.MaxInt64},
+		{math.NaN(), 100, math.MaxInt64},
+		{2, 100, 200},
+		{1.5, 101, 152},
+		{1.5, 51, 77},   // truncation would give 76
+		{1.1, 100, 111}, // float64(1.1)·100 rounds above 110, and the ceiling keeps it
+		{0.5, 101, 51},  // factors below 1 are the exact solver's: no floor at M_seq
+		{1, 1<<53 + 1, 1<<53 + 1},
+		{math.Inf(1), 100, math.MaxInt64},
+		{1e18, math.MaxInt64, math.MaxInt64}, // saturates instead of overflowing
+	}
+	for _, tc := range cases {
+		if got := CapFromFactor(tc.factor, tc.mseq); got != tc.want {
+			t.Errorf("CapFromFactor(%g, %d) = %d, want %d", tc.factor, tc.mseq, got, tc.want)
+		}
+	}
+}
+
 func TestSequentialScheduleRejectsPartialOrder(t *testing.T) {
 	tr := optionsTestTree(t)
-	if _, err := SequentialSchedule(tr, tr.TopOrder()[:tr.Len()-1]); err == nil {
+	m := machine.Uniform(1)
+	if _, err := SequentialSchedule(tr, m, tr.TopOrder()[:tr.Len()-1]); err == nil {
 		t.Error("partial order accepted")
 	}
-	if _, err := SequentialSchedule(tr, tr.TopOrder()); err != nil {
+	if _, err := SequentialSchedule(tr, m, tr.TopOrder()); err != nil {
 		t.Errorf("valid order rejected: %v", err)
 	}
 }
@@ -207,7 +238,7 @@ func TestByNameStillResolvesEverything(t *testing.T) {
 		"ParInnerFirstArbitrary", "Sequential", "OptimalSequential",
 	} {
 		h, ok := ByName(name)
-		if !ok || h.Name != name || h.Run == nil {
+		if !ok || h.Name != name || h.RunOn == nil {
 			t.Errorf("ByName(%q) broken", name)
 		}
 	}

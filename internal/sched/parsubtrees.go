@@ -201,63 +201,6 @@ func SplitSubtreesNaive(t *tree.Tree, p int) (Splitting, error) {
 	return sp, nil
 }
 
-// ParSubtrees is the memory-focused heuristic of paper §5.1 (Alg. 1): the
-// tree is split into subtrees by SplitSubtrees; the p heaviest subtrees run
-// concurrently, one per processor, each traversed with the memory-optimal
-// sequential postorder; every remaining node (merge nodes and surplus
-// subtrees) is then processed sequentially, again in memory-minimizing
-// order. ParSubtrees is a (p+1)-approximation for peak memory and a
-// p-approximation for makespan.
-func ParSubtrees(t *tree.Tree, p int) (*Schedule, error) {
-	return NewPrecompute(t).ParSubtrees(p)
-}
-
-// ParSubtrees is the precompute-sharing form of the package-level
-// function: each subtree's memory-optimal postorder is emitted straight
-// from the whole-tree postorder index (the child-ordering rule is
-// subtree-local), skipping the historical per-subtree extraction and DP.
-func (pc *Precompute) ParSubtrees(p int) (*Schedule, error) {
-	m, err := uniformChecked(p)
-	if err != nil {
-		return nil, err
-	}
-	return parSubtrees(pc, m, false, nil)
-}
-
-// ParSubtreesOn is ParSubtrees on an explicit machine model: subtrees are
-// placed by speed-aware LPT (heaviest subtree onto the processor that
-// finishes it earliest) and the sequential phase runs on the fastest
-// processor. On a uniform model it is byte-identical to the
-// processor-count form.
-func (pc *Precompute) ParSubtreesOn(m *machine.Model) (*Schedule, error) {
-	return parSubtrees(pc, m, false, nil)
-}
-
-// ParSubtreesOptim is the makespan optimization of ParSubtrees (paper
-// §5.1): all subtrees produced by the splitting — not only the p heaviest —
-// are allocated to the processors in LPT fashion (heaviest first onto the
-// least-loaded processor), and only the merge nodes run sequentially. It
-// typically improves the makespan at the price of some extra memory.
-func ParSubtreesOptim(t *tree.Tree, p int) (*Schedule, error) {
-	return NewPrecompute(t).ParSubtreesOptim(p)
-}
-
-// ParSubtreesOptim is the precompute-sharing form of the package-level
-// function.
-func (pc *Precompute) ParSubtreesOptim(p int) (*Schedule, error) {
-	m, err := uniformChecked(p)
-	if err != nil {
-		return nil, err
-	}
-	return parSubtrees(pc, m, true, nil)
-}
-
-// ParSubtreesOptimOn is ParSubtreesOptim on an explicit machine model
-// (see ParSubtreesOn).
-func (pc *Precompute) ParSubtreesOptimOn(m *machine.Model) (*Schedule, error) {
-	return parSubtrees(pc, m, true, nil)
-}
-
 // splitShare lets the heuristics of one selection (Options.SelectPre)
 // share a splitting: both ParSubtrees variants split the tree the same way
 // for a given p, so whichever runs second reuses the first's result. It
@@ -283,6 +226,13 @@ func (sh *splitShare) get(pc *Precompute, p int) Splitting {
 	return sh.sp
 }
 
+// parSubtrees runs IDParSubtrees (optim false) or IDParSubtreesOptim
+// (optim true) on pc's tree and m. Each subtree's memory-optimal postorder
+// is emitted straight from the whole-tree postorder index (the
+// child-ordering rule is subtree-local), so no subtree is extracted or
+// traversed again. On a heterogeneous machine subtrees are placed by
+// speed-aware LPT (heaviest subtree onto the processor that finishes it
+// earliest) and the sequential phase runs on the fastest processor.
 func parSubtrees(pc *Precompute, m *machine.Model, optim bool, share *splitShare) (*Schedule, error) {
 	p := m.P()
 	t := pc.t

@@ -211,7 +211,7 @@ func TestSplitShareComputesOncePerP(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := pc.Run(h.ID, p, 0)
+			want, err := pc.Run(h.ID, machine.Uniform(p), 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 
+	"treesched/internal/machine"
 	"treesched/internal/tree"
 )
 
@@ -64,7 +65,7 @@ func TestPrecomputeSizeBytesBoundsRetained(t *testing.T) {
 				if id == IDExact || id == IDAuto {
 					continue
 				}
-				if _, err := pc.Run(id, 4, 2); err != nil {
+				if _, err := pc.Run(id, machine.Uniform(4), 2*pc.MSeq()); err != nil {
 					t.Fatalf("%s/%d %s: %v", fam.name, n, id, err)
 				}
 			}

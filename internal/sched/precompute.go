@@ -21,10 +21,8 @@ import (
 // sync.Once), which is what lets a portfolio race share one across all
 // candidates. It must only ever be used with the tree it was built for.
 //
-// The heuristic entry points are methods (ParInnerFirst, MemCapped, …) or
-// the HeuristicID dispatcher Run. The package-level functions of the same
-// names build a throwaway Precompute per call; callers scheduling a tree
-// more than once should build one Precompute and reuse it.
+// Run is the one way into every scheduler of the package: callers
+// scheduling a tree more than once build one Precompute and reuse it.
 type Precompute struct {
 	t  *tree.Tree
 	ix *traversal.PostOrderIndex
@@ -201,48 +199,38 @@ func (pc *Precompute) rankBooking() rankPerm {
 	return pc.book
 }
 
-// Run dispatches a heuristic by ID on this context's tree and the paper's
-// uniform machine of p processors. memCapFactor parameterizes the capped
-// heuristics (cap = factor × M_seq) and is ignored by the rest;
-// sequential baselines ignore p.
-func (pc *Precompute) Run(id HeuristicID, p int, memCapFactor float64) (*Schedule, error) {
-	m, err := uniformChecked(p)
-	if err != nil {
-		return nil, err
-	}
-	return pc.RunOn(id, m, memCapFactor)
+// Run schedules pc's tree with heuristic id on machine m: the one way
+// into every scheduler of this package. cap is the absolute memory cap of
+// IDMemCapped and IDMemCappedBooking (see CapFromFactor) and is ignored by
+// the uncapped heuristics. On a uniform model every heuristic is the
+// paper's; on a heterogeneous model processor picks and execution times
+// are speed-aware (the sequential baselines run on the fastest processor).
+func (pc *Precompute) Run(id HeuristicID, m *machine.Model, cap int64) (*Schedule, error) {
+	return pc.run(id, m, cap, nil)
 }
 
-// RunOn dispatches a heuristic by ID on an explicit machine model. On a
-// uniform model every heuristic is byte-identical to Run; on a
-// heterogeneous model processor picks and execution times are
-// speed-aware (the sequential baselines run on the fastest processor).
-func (pc *Precompute) RunOn(id HeuristicID, m *machine.Model, memCapFactor float64) (*Schedule, error) {
-	return pc.runOn(id, m, memCapFactor, nil)
-}
-
-// runOn is RunOn with the ParSubtrees splitting taken from share (nil:
-// split on this call).
-func (pc *Precompute) runOn(id HeuristicID, m *machine.Model, memCapFactor float64, share *splitShare) (*Schedule, error) {
+// run is Run with the ParSubtrees splitting taken from share (nil: split
+// on this call).
+func (pc *Precompute) run(id HeuristicID, m *machine.Model, cap int64, share *splitShare) (*Schedule, error) {
 	switch id {
 	case IDParSubtrees:
 		return parSubtrees(pc, m, false, share)
 	case IDParSubtreesOptim:
 		return parSubtrees(pc, m, true, share)
 	case IDParInnerFirst:
-		return pc.ParInnerFirstOn(m)
+		return listScheduleRank(pc.t, m, pc.rankInnerFirst())
 	case IDParDeepestFirst:
-		return pc.ParDeepestFirstOn(m)
+		return listScheduleRank(pc.t, m, pc.rankDeepestFirst())
 	case IDParInnerFirstArbitrary:
-		return pc.ParInnerFirstArbitraryOn(m)
+		return listScheduleRank(pc.t, m, pc.rankInnerFirstArbitrary())
 	case IDSequential:
-		return SequentialScheduleOn(pc.t, m, pc.Order())
+		return SequentialSchedule(pc.t, m, pc.Order())
 	case IDOptimalSequential:
-		return SequentialScheduleOn(pc.t, m, traversal.Optimal(pc.t).Order)
+		return SequentialSchedule(pc.t, m, traversal.Optimal(pc.t).Order)
 	case IDMemCapped:
-		return pc.MemCappedOn(m, capFromFactor(memCapFactor, pc.MSeq()))
+		return memCapped(pc, m, cap)
 	case IDMemCappedBooking:
-		return pc.MemCappedBookingOn(m, capFromFactor(memCapFactor, pc.MSeq()))
+		return memCappedBooking(pc, m, cap)
 	}
 	return nil, errUnrunnable(id)
 }

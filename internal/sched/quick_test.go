@@ -52,10 +52,8 @@ func TestQuickMemCapRespected(t *testing.T) {
 		tr := quickTree(seed, size)
 		mseq := sched.MemoryLowerBound(tr)
 		cap := mseq + int64(extra)
-		for _, run := range []func(*tree.Tree, int, int64) (*sched.Schedule, error){
-			sched.MemCapped, sched.MemCappedBooking,
-		} {
-			s, err := run(tr, 4, cap)
+		for _, id := range []sched.HeuristicID{sched.IDMemCapped, sched.IDMemCappedBooking} {
+			s, err := runP(tr, id, 4, cap)
 			if err != nil || s.Validate(tr) != nil {
 				return false
 			}

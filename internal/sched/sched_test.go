@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"treesched/internal/machine"
 	"treesched/internal/sched"
 	"treesched/internal/traversal"
 	"treesched/internal/tree"
@@ -25,10 +26,27 @@ func randomTree(rng *rand.Rand, n int) *tree.Tree {
 	}
 }
 
+// runP schedules tr with heuristic id on the paper's uniform machine of p
+// processors through a fresh Precompute; cap is the capped heuristics'
+// absolute memory cap and is ignored by the rest.
+func runP(tr *tree.Tree, id sched.HeuristicID, p int, cap int64) (*sched.Schedule, error) {
+	return sched.NewPrecompute(tr).Run(id, machine.Uniform(p), cap)
+}
+
+// selectCapped selects capped heuristic id for tr at cap factor 100.
+func selectCapped(tb testing.TB, tr *tree.Tree, id sched.HeuristicID) sched.Heuristic {
+	tb.Helper()
+	hs, _, err := sched.Options{Processors: 1, Heuristics: []sched.HeuristicID{id}, MemCapFactor: 100}.SelectPre(sched.NewPrecompute(tr))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return hs[0]
+}
+
 func TestListScheduleSequentialIsTotalW(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	tr := randomTree(rng, 60)
-	s, err := sched.ParInnerFirst(tr, 1)
+	s, err := runP(tr, sched.IDParInnerFirst, 1, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +125,7 @@ func TestParSubtreesMemoryBound(t *testing.T) {
 		tr := randomTree(rng, 2+rng.Intn(150))
 		mseq := sched.MemoryLowerBound(tr)
 		for _, p := range []int{2, 4, 8} {
-			s, err := sched.ParSubtrees(tr, p)
+			s, err := runP(tr, sched.IDParSubtrees, p, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -127,7 +145,7 @@ func TestParSubtreesMatchesPredictedMakespan(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := sched.ParSubtrees(tr, p)
+			s, err := runP(tr, sched.IDParSubtrees, p, 0)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -192,11 +210,11 @@ func TestParSubtreesOptimNotWorseOnAverage(t *testing.T) {
 	worse := 0
 	for trial := 0; trial < 40; trial++ {
 		tr := randomTree(rng, 2+rng.Intn(150))
-		s1, err := sched.ParSubtrees(tr, 4)
+		s1, err := runP(tr, sched.IDParSubtrees, 4, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s2, err := sched.ParSubtreesOptim(tr, 4)
+		s2, err := runP(tr, sched.IDParSubtreesOptim, 4, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,7 +270,7 @@ func TestPeakMemoryZeroDurationTasks(t *testing.T) {
 func TestMemoryTraceMonotoneBookkeeping(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	tr := randomTree(rng, 80)
-	s, err := sched.ParDeepestFirst(tr, 4)
+	s, err := runP(tr, sched.IDParDeepestFirst, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,11 +334,11 @@ func TestMemCapped(t *testing.T) {
 		mseq := sched.MemoryLowerBound(tr)
 		for _, p := range []int{2, 8} {
 			// Below the sequential requirement: must fail.
-			if _, err := sched.MemCapped(tr, p, mseq-1); err == nil {
+			if _, err := runP(tr, sched.IDMemCapped, p, mseq-1); err == nil {
 				t.Fatalf("cap below M_seq accepted")
 			}
 			for _, cap := range []int64{mseq, 2 * mseq, 1 << 60} {
-				s, err := sched.MemCapped(tr, p, cap)
+				s, err := runP(tr, sched.IDMemCapped, p, cap)
 				if err != nil {
 					t.Fatalf("MemCapped(cap=%d): %v", cap, err)
 				}
@@ -343,7 +361,7 @@ func TestMemCappedTightCapSequentialMakespan(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	tr := tree.Chain(rng, 50, tree.PebbleWeights)
 	mseq := sched.MemoryLowerBound(tr)
-	s, err := sched.MemCapped(tr, 8, mseq)
+	s, err := runP(tr, sched.IDMemCapped, 8, mseq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,8 +410,11 @@ func TestInvalidProcessorCount(t *testing.T) {
 			t.Errorf("%s accepted p=0", h.Name)
 		}
 	}
-	if _, err := sched.MemCapped(tr, 0, 100); err == nil {
+	if _, err := selectCapped(t, tr, sched.IDMemCapped).Run(tr, 0); err == nil {
 		t.Errorf("MemCapped accepted p=0")
+	}
+	if _, _, err := (sched.Options{Heuristics: []sched.HeuristicID{sched.IDMemCapped}, MemCapFactor: 2}).SelectPre(sched.NewPrecompute(tr)); err == nil {
+		t.Errorf("a selection with p=0 was accepted")
 	}
 }
 
@@ -438,7 +459,7 @@ func TestMoreProcessorsNeverIncreaseListMakespan(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for trial := 0; trial < 20; trial++ {
 		tr := randomTree(rng, 2+rng.Intn(60))
-		s, err := sched.ParDeepestFirst(tr, 64)
+		s, err := runP(tr, sched.IDParDeepestFirst, 64, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -451,7 +472,7 @@ func TestMoreProcessorsNeverIncreaseListMakespan(t *testing.T) {
 func TestScheduleJSONRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	tr := randomTree(rng, 60)
-	s, err := sched.ParDeepestFirst(tr, 4)
+	s, err := runP(tr, sched.IDParDeepestFirst, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

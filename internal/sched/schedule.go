@@ -7,17 +7,9 @@
 package sched
 
 import (
-	"fmt"
-	"math"
-	"slices"
-	"sync"
-
 	"treesched/internal/machine"
 	"treesched/internal/tree"
 )
-
-// timeEps absorbs floating-point rounding in schedule validation.
-const timeEps = 1e-9
 
 // Schedule assigns every node of a tree a start time and a processor.
 // Tasks are non-preemptive: node i occupies Proc[i] during
@@ -81,80 +73,11 @@ func (s *Schedule) Finish(t *tree.Tree, i int) float64 { return s.Start[i] + s.D
 
 // Validate checks that s is a feasible schedule of t: every node scheduled
 // exactly once on a valid processor, no task starts before its children
-// complete, and no two tasks overlap on the same processor.
+// complete, and no two tasks overlap on the same processor. It runs
+// Evaluate's checks with the event replay forced, so it never trusts an
+// inline-tracked peak: a schedule edited without Invalidate is still
+// checked for overlaps.
 func (s *Schedule) Validate(t *tree.Tree) error {
-	n := t.Len()
-	if len(s.Start) != n || len(s.Proc) != n {
-		return fmt.Errorf("sched: schedule covers %d/%d starts, %d/%d procs", len(s.Start), n, len(s.Proc), n)
-	}
-	if s.P < 1 {
-		return fmt.Errorf("sched: invalid processor count %d", s.P)
-	}
-	if s.M != nil && s.M.P() != s.P {
-		return fmt.Errorf("sched: machine model has %d processors, schedule says %d", s.M.P(), s.P)
-	}
-	for i := 0; i < n; i++ {
-		if s.Proc[i] < 0 || s.Proc[i] >= s.P {
-			return fmt.Errorf("sched: node %d on invalid processor %d", i, s.Proc[i])
-		}
-		if s.Start[i] < -timeEps || math.IsNaN(s.Start[i]) || math.IsInf(s.Start[i], 0) {
-			return fmt.Errorf("sched: node %d has invalid start time %v", i, s.Start[i])
-		}
-		if p := t.Parent(i); p != tree.None {
-			if s.Start[p]+timeEps < s.Start[i]+s.Dur(t, i) {
-				return fmt.Errorf("sched: node %d starts at %v before child %d completes at %v",
-					p, s.Start[p], i, s.Start[i]+s.Dur(t, i))
-			}
-		}
-	}
-	// Per-processor non-overlap: one sort by (processor, start, duration)
-	// over a pooled index buffer, then adjacency checks within each
-	// processor's run. Zero-duration tasks sort before longer ones sharing
-	// their start, so they do not trip the overlap check.
-	vs := validatePool.Get().(*validateScratch)
-	if cap(vs.idx) < n {
-		vs.idx = make([]int32, n)
-	}
-	idx := vs.idx[:n]
-	for i := range idx {
-		idx[i] = int32(i)
-	}
-	slices.SortFunc(idx, func(a, b int32) int {
-		if s.Proc[a] != s.Proc[b] {
-			return s.Proc[a] - s.Proc[b]
-		}
-		if sa, sb := s.Start[a], s.Start[b]; sa != sb {
-			if sa < sb {
-				return -1
-			}
-			return 1
-		}
-		if wa, wb := s.Dur(t, int(a)), s.Dur(t, int(b)); wa != wb {
-			if wa < wb {
-				return -1
-			}
-			return 1
-		}
-		return int(a) - int(b)
-	})
-	var err error
-	for k := 1; k < n; k++ {
-		prev, cur := int(idx[k-1]), int(idx[k])
-		if s.Proc[prev] != s.Proc[cur] {
-			continue
-		}
-		if s.Start[cur]+timeEps < s.Start[prev]+s.Dur(t, prev) {
-			err = fmt.Errorf("sched: tasks %d and %d overlap on processor %d", prev, cur, s.Proc[prev])
-			break
-		}
-	}
-	validatePool.Put(vs)
+	_, _, err := evaluate(t, s, true)
 	return err
 }
-
-// validateScratch recycles Validate's sort buffer: validation runs on
-// every service response and every portfolio candidate, so it must not
-// allocate per call.
-type validateScratch struct{ idx []int32 }
-
-var validatePool = sync.Pool{New: func() any { return new(validateScratch) }}

@@ -9,6 +9,9 @@ import (
 	"treesched/internal/tree"
 )
 
+// timeEps absorbs floating-point rounding in schedule validation.
+const timeEps = 1e-9
+
 // event kinds, in tie-break order at equal timestamps: completions release
 // memory before new tasks allocate (this matches the per-step accounting of
 // the paper's NP-completeness proof, §4.1).
@@ -189,9 +192,16 @@ func PeakMemory(t *tree.Tree, s *Schedule) int64 {
 // it returns the makespan and the exact simulated peak memory, or the
 // first feasibility violation found (the checks of Schedule.Validate).
 // This is the hot path of the portfolio racer and the service workers —
-// one pooled event sort replaces the separate Validate sort, Makespan
-// scan and PeakMemory simulation.
+// one pooled event sort replaces a separate validation, Makespan scan and
+// PeakMemory simulation. A schedule whose scheduler tracked its peak
+// inline skips the event replay.
 func Evaluate(t *tree.Tree, s *Schedule) (makespan float64, peak int64, err error) {
+	return evaluate(t, s, !s.peakKnown)
+}
+
+// evaluate is Evaluate with the event replay, and with it the overlap
+// check, forced (replay) or skipped in favor of the inline-tracked peak.
+func evaluate(t *tree.Tree, s *Schedule, replay bool) (makespan float64, peak int64, err error) {
 	n := t.Len()
 	if len(s.Start) != n || len(s.Proc) != n {
 		return 0, 0, fmt.Errorf("sched: schedule covers %d/%d starts, %d/%d procs", len(s.Start), n, len(s.Proc), n)
@@ -222,7 +232,7 @@ func Evaluate(t *tree.Tree, s *Schedule) (makespan float64, peak int64, err erro
 	if n == 0 {
 		return 0, 0, nil
 	}
-	if s.peakKnown {
+	if !replay {
 		// Inline-tracked schedules skip the event replay: the peak is the
 		// scheduler's exact running maximum, and overlap is impossible by
 		// construction (a processor re-enters the free pool only at a

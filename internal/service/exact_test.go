@@ -150,3 +150,26 @@ func TestScheduleExactTooLarge(t *testing.T) {
 		t.Error("no winner despite a healthy candidate")
 	}
 }
+
+// TestPortfolioExactWinnerTimeline: an Exact winner renders a timeline
+// like any other candidate, from the schedule the race kept.
+func TestPortfolioExactWinnerTimeline(t *testing.T) {
+	s := New(Config{ExactNodes: 200_000})
+	defer s.Close()
+	tr := testTree(t, 13, 12)
+	obj := portfolio.MinMakespan()
+	resp := decodeResponse(t, postJSON(t, s.Handler(), "/v1/portfolio?timeline=1",
+		Request{Tree: tr, Processors: 2, Heuristics: []sched.HeuristicID{sched.IDSequential, sched.IDExact}, Objective: &obj}))
+	if resp.Error != "" {
+		t.Fatal(resp.Error)
+	}
+	if resp.Winner == nil || *resp.Winner != sched.IDExact {
+		t.Fatalf("winner %v, want Exact (the proven optimum beats the sequential baseline)", resp.Winner)
+	}
+	if resp.Timeline == nil {
+		t.Fatal("an Exact winner rendered no timeline")
+	}
+	if tasks, _, _ := timelineEvents(t, resp.Timeline); tasks != tr.Len() {
+		t.Fatalf("timeline has %d tasks, want %d", tasks, tr.Len())
+	}
+}

@@ -406,13 +406,88 @@ func TestTimelineParam(t *testing.T) {
 		t.Error("timeline present without ?timeline=1")
 	}
 
-	// Portfolio: the winner is re-run for its timeline.
+	// Portfolio: the winner's schedule from the race renders the timeline.
 	presp := decodeResponse(t, postJSON(t, h, "/v1/portfolio?timeline=1", Request{Tree: tr, Processors: 2}))
 	if presp.Error != "" {
 		t.Fatal(presp.Error)
 	}
 	if presp.Winner == nil || presp.Timeline == nil {
 		t.Fatalf("portfolio timeline: winner=%v timeline=%v", presp.Winner, presp.Timeline != nil)
+	}
+}
+
+// timelineEvents decodes a timeline: its task count, and its memory
+// samples with their cap series, if it draws one.
+func timelineEvents(t *testing.T, raw json.RawMessage) (tasks int, resident, caps []int64) {
+	t.Helper()
+	var doc struct {
+		TraceEvents []struct {
+			Ph   string `json:"ph"`
+			Name string `json:"name"`
+			Args struct {
+				Resident *int64 `json:"resident"`
+				Cap      *int64 `json:"cap"`
+			} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatalf("timeline is not valid chrome-trace JSON: %v", err)
+	}
+	for _, e := range doc.TraceEvents {
+		switch {
+		case e.Ph == "X":
+			tasks++
+		case e.Ph == "C" && e.Name == "memory":
+			if e.Args.Resident == nil {
+				t.Fatalf("memory sample without a resident series")
+			}
+			resident = append(resident, *e.Args.Resident)
+			if e.Args.Cap != nil {
+				caps = append(caps, *e.Args.Cap)
+			}
+		}
+	}
+	return tasks, resident, caps
+}
+
+// TestTimelineCapIsTheRunCap checks that a capped ?timeline=1 answer
+// draws the cap the capped heuristics ran under, ⌈f × memory_seq⌉, and
+// that resident memory stays under it, on every tree and machine of the
+// golden grid.
+func TestTimelineCapIsTheRunCap(t *testing.T) {
+	s := New(Config{Workers: 2})
+	defer s.Close()
+	h := s.Handler()
+	checked := 0
+	for _, g := range goldenGrid(t) {
+		if !strings.Contains(g.name, "/capped/") || g.path != "/v1/schedule?timeline=1" {
+			continue
+		}
+		var req Request
+		if err := json.Unmarshal(g.body, &req); err != nil {
+			t.Fatal(err)
+		}
+		resp := decodeResponse(t, post(t, h, g.path, g.body))
+		if resp.Error != "" || resp.Timeline == nil || resp.Bounds == nil {
+			t.Fatalf("%s: error %q, timeline %v", g.name, resp.Error, resp.Timeline != nil)
+		}
+		want := int64(math.Ceil(req.MemCapFactor * float64(resp.Bounds.MemorySeq)))
+		_, resident, caps := timelineEvents(t, resp.Timeline)
+		if len(caps) == 0 || len(caps) != len(resident) {
+			t.Fatalf("%s: %d memory samples, %d with a cap", g.name, len(resident), len(caps))
+		}
+		for i, c := range caps {
+			if c != want {
+				t.Fatalf("%s: cap series reads %d, want ⌈%g × %d⌉ = %d", g.name, c, req.MemCapFactor, resp.Bounds.MemorySeq, want)
+			}
+			if resident[i] > c {
+				t.Fatalf("%s: resident %d crosses the drawn cap %d", g.name, resident[i], c)
+			}
+		}
+		checked++
+	}
+	if checked != 12 {
+		t.Fatalf("checked %d capped timelines, want 12", checked)
 	}
 }
 

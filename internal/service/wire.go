@@ -707,38 +707,26 @@ acquire:
 		}
 	}
 	if j.timeline && shown >= 0 {
-		resp.Timeline = renderTimeline(pc, j.opts, res.Candidates[shown].ID, res.MemorySeq)
+		c := res.Candidates[shown]
+		resp.Timeline = renderTimeline(pc.Tree(), c.Schedule, c.ID, opts.MemCapFactor, res.MemorySeq)
 	}
 	return resp
 }
 
-// renderTimeline renders candidate id's schedule as Chrome Trace Event
-// Format JSON for the Response.Timeline field, with the capped
-// heuristics' budget (factor × M_seq) as the memory counter's cap series.
-// The race only keeps candidate metrics, so the candidate is re-run
-// deterministically on pc's tree (a canonically-equal copy of the
-// request's on a Precompute-cache hit). Exact's schedule is not
-// re-derivable through the heuristic interface, so its timeline is
-// omitted, and a failure drops the timeline rather than the response.
-func renderTimeline(pc *sched.Precompute, opts sched.Options, id sched.HeuristicID, memSeq int64) json.RawMessage {
-	if id == sched.IDExact {
-		return nil
-	}
-	opts.Heuristics = []sched.HeuristicID{id}
-	hs, _, err := opts.SelectPre(pc)
-	if err != nil {
-		return nil
-	}
-	sc, err := hs[0].RunOn(pc.Tree(), opts.Model())
-	if err != nil {
-		return nil
-	}
+// renderTimeline renders candidate id's schedule, taken from the race, as
+// Chrome Trace Event Format JSON for the Response.Timeline field, with the
+// cap the capped heuristics ran under (sched.CapFromFactor of the
+// request's factor) as the memory counter's cap series. t is the tree the
+// race scheduled (a canonically-equal copy of the request's on a
+// Precompute-cache hit). A rendering failure drops the timeline rather
+// than the response.
+func renderTimeline(t *tree.Tree, sc *sched.Schedule, id sched.HeuristicID, memCapFactor float64, memSeq int64) json.RawMessage {
 	var memCap int64
-	if opts.MemCapFactor > 0 {
-		memCap = int64(opts.MemCapFactor * float64(memSeq))
+	if memCapFactor > 0 {
+		memCap = sched.CapFromFactor(memCapFactor, memSeq)
 	}
 	var buf bytes.Buffer
-	if err := sched.WriteChromeTrace(&buf, pc.Tree(), sc, sched.ChromeTraceOptions{Name: id.String(), MemCap: memCap}); err != nil {
+	if err := sched.WriteChromeTrace(&buf, t, sc, sched.ChromeTraceOptions{Name: id.String(), MemCap: memCap}); err != nil {
 		return nil
 	}
 	return buf.Bytes()

@@ -41,10 +41,14 @@ func (g lgroup) prio() int64 { return g.p - g.d }
 
 // liuScratch is the pooled working set of one Optimal call.
 type liuScratch struct {
-	arena  ropeArena
-	segs   [][]lseg // valley decomposition per subtree, freed to free
-	free   [][]lseg // capacity recycled from consumed children
-	atoms  []lseg   // per-node flat buffer of the children's segments
+	arena ropeArena
+	// stack holds the valley decompositions of the subtrees done so far,
+	// one block per subtree, from off[v] on for subtree v. TopOrder is a
+	// postorder, so a node's children's blocks are the top of the stack
+	// when its turn comes, and its own block replaces them.
+	stack  []lseg
+	off    []int32
+	atoms  []lseg // per-node flat buffer of the children's segments
 	groups []lgroup
 	merged []lseg
 	valley []int64
@@ -56,25 +60,11 @@ var liuPool = sync.Pool{New: func() any { return new(liuScratch) }}
 
 func (sc *liuScratch) reset(n int) {
 	sc.arena.reset()
-	if cap(sc.segs) < n {
-		sc.segs = make([][]lseg, n)
+	sc.stack = sc.stack[:0]
+	if cap(sc.off) < n {
+		sc.off = make([]int32, n)
 	}
-	sc.segs = sc.segs[:n]
-	clear(sc.segs)
-	// sc.free is deliberately kept: the segment slices released by the
-	// previous traversal seed this one's allocations.
-	sc.atoms = sc.atoms[:0]
-}
-
-// grab returns an empty segment slice, reusing capacity released by a
-// consumed child when available.
-func (sc *liuScratch) grab() []lseg {
-	if k := len(sc.free); k > 0 {
-		s := sc.free[k-1]
-		sc.free = sc.free[:k-1]
-		return s[:0]
-	}
-	return nil
+	sc.off = sc.off[:n]
 }
 
 // concatSeg merges b after a into a single segment (O(1) via the arena).
@@ -107,50 +97,49 @@ func Optimal(t *tree.Tree) Result {
 		// The node's own step: memory rises by n_v+f_v above the level where
 		// all children outputs are resident, then settles to f_v.
 		own := lseg{P: t.N(v) + t.F(v), D: t.F(v) - t.InSize(v), rope: leafRef(v)}
-		if len(cs) == 0 {
-			sc.merged = append(sc.merged[:0], own)
-			sc.segs[v] = sc.redecompose(sc.merged, sc.grab())
-			continue
-		}
-		// Group each child's segments into the flat atoms buffer, then sort
-		// the groups by non-increasing priority (ascending lo breaks ties,
-		// which is exactly the old stable sort: lo increases in append
-		// order).
-		sc.atoms = sc.atoms[:0]
-		sc.groups = sc.groups[:0]
-		for _, c := range cs {
-			sc.appendGroups(sc.segs[c])
-			sc.free = append(sc.free, sc.segs[c])
-			sc.segs[c] = nil // release
-		}
-		slices.SortFunc(sc.groups, func(a, b lgroup) int {
-			if pa, pb := a.prio(), b.prio(); pa != pb {
-				if pa > pb {
-					return -1
-				}
-				return 1
-			}
-			return int(a.lo) - int(b.lo)
-		})
+		lo := int32(len(sc.stack))
 		sc.merged = sc.merged[:0]
-		for _, g := range sc.groups {
-			sc.merged = append(sc.merged, sc.atoms[g.lo:g.hi]...)
+		if len(cs) > 0 {
+			// Group each child's segments into the flat atoms buffer, then
+			// sort the groups by non-increasing priority (ascending lo
+			// breaks ties, which is exactly the old stable sort: lo
+			// increases in append order).
+			lo = sc.off[cs[0]]
+			sc.atoms = sc.atoms[:0]
+			sc.groups = sc.groups[:0]
+			for i, c := range cs {
+				hi := int32(len(sc.stack))
+				if i+1 < len(cs) {
+					hi = sc.off[cs[i+1]]
+				}
+				sc.appendGroups(sc.stack[sc.off[c]:hi])
+			}
+			slices.SortFunc(sc.groups, func(a, b lgroup) int {
+				if pa, pb := a.prio(), b.prio(); pa != pb {
+					if pa > pb {
+						return -1
+					}
+					return 1
+				}
+				return int(a.lo) - int(b.lo)
+			})
+			for _, g := range sc.groups {
+				sc.merged = append(sc.merged, sc.atoms[g.lo:g.hi]...)
+			}
 		}
 		sc.merged = append(sc.merged, own)
-		sc.segs[v] = sc.redecompose(sc.merged, sc.grab())
+		sc.off[v] = lo
+		sc.stack = sc.redecompose(sc.merged, sc.stack[:lo])
 	}
-	rootSegs := sc.segs[t.Root()]
 	order := make([]int, 0, n)
 	var base, peak int64
-	for _, s := range rootSegs {
+	for _, s := range sc.stack { // the root's block: the whole stack
 		if q := base + s.P; q > peak {
 			peak = q
 		}
 		base += s.D
 		order, sc.rstack = sc.arena.appendNodes(s.rope, sc.rstack, order)
 	}
-	sc.free = append(sc.free, rootSegs)
-	sc.segs[t.Root()] = nil
 	liuPool.Put(sc)
 	return Result{Order: order, Peak: peak}
 }
@@ -188,8 +177,7 @@ func (sc *liuScratch) appendGroups(atoms []lseg) {
 // absolute valleys (hence D >= 0 everywhere). Valleys inside input segments
 // never need to be cut: within an atomic segment all interior levels are at
 // least the end level, and the inputs are atomic or end the profile. The
-// result is appended to out (whose capacity is recycled); in is not
-// retained.
+// result is appended to out; in is not retained.
 func (sc *liuScratch) redecompose(in []lseg, out []lseg) []lseg {
 	m := len(in)
 	if cap(sc.valley) < m {

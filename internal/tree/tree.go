@@ -200,8 +200,10 @@ func (t *Tree) InSize(i int) int64 {
 func (t *Tree) ProcFootprint(i int) int64 { return t.InSize(i) + t.n[i] + t.f[i] }
 
 // TopOrder returns a fixed topological order of the nodes (every node
-// appears after all of its descendants). The slice is owned by the tree and
-// must not be modified.
+// appears after all of its descendants). It is a postorder that visits
+// children in index order: each subtree's nodes are contiguous and end at
+// its root, and the traversal package relies on that. The slice is owned
+// by the tree and must not be modified.
 func (t *Tree) TopOrder() []int { return t.order }
 
 // TotalW returns the sum of all processing times.

@@ -101,6 +101,38 @@ func TestTopOrder(t *testing.T) {
 	}
 }
 
+// TestTopOrderIsPostorder pins what Liu's traversal relies on: TopOrder
+// lays every subtree out contiguously, ending at its root, with the
+// children's subtrees in index order.
+func TestTopOrderIsPostorder(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	for _, tr := range []*Tree{
+		sampleTree(t),
+		RandomAttachment(rng, 300, WeightSpec{}),
+		RandomPrufer(rng, 300, WeightSpec{}),
+		Caterpillar(rng, 40, 3, WeightSpec{}),
+	} {
+		n := tr.Len()
+		pos := make([]int, n)
+		for k, v := range tr.TopOrder() {
+			pos[v] = k
+		}
+		size := tr.SubtreeSize()
+		for v := 0; v < n; v++ {
+			next := pos[v] - size[v] + 1 // where v's subtree, and its first child's, starts
+			for _, c := range tr.Children(v) {
+				if first := pos[c] - size[c] + 1; first != next {
+					t.Fatalf("child %d of %d starts at %d, want %d", c, v, first, next)
+				}
+				next = pos[c] + 1
+			}
+			if next != pos[v] {
+				t.Fatalf("node %d at %d does not end its subtree (children end at %d)", v, pos[v], next-1)
+			}
+		}
+	}
+}
+
 func TestInSizeAndFootprint(t *testing.T) {
 	tr := sampleTree(t)
 	if got := tr.InSize(1); got != 40+50 {

@@ -2,6 +2,7 @@ package treesched
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"math/rand"
 
@@ -166,33 +167,50 @@ func SequentialPeakMemory(t *Tree, order []int) (int64, error) {
 
 // ParSubtrees runs the memory-focused two-phase heuristic (paper Alg. 1):
 // a (p+1)-approximation for memory, a p-approximation for makespan.
-func ParSubtrees(t *Tree, p int) (*Schedule, error) { return sched.ParSubtrees(t, p) }
+func ParSubtrees(t *Tree, p int) (*Schedule, error) { return runUniform(t, p, sched.IDParSubtrees, 0) }
 
 // ParSubtreesOptim is ParSubtrees with LPT allocation of all split
 // subtrees, trading a little memory for makespan.
-func ParSubtreesOptim(t *Tree, p int) (*Schedule, error) { return sched.ParSubtreesOptim(t, p) }
+func ParSubtreesOptim(t *Tree, p int) (*Schedule, error) {
+	return runUniform(t, p, sched.IDParSubtreesOptim, 0)
+}
 
 // ParInnerFirst approximates a postorder in parallel: ready inner nodes
 // first, then leaves in optimal-postorder order. (2-1/p)-approximation for
 // makespan; unbounded memory ratio in the worst case.
-func ParInnerFirst(t *Tree, p int) (*Schedule, error) { return sched.ParInnerFirst(t, p) }
+func ParInnerFirst(t *Tree, p int) (*Schedule, error) {
+	return runUniform(t, p, sched.IDParInnerFirst, 0)
+}
 
 // ParDeepestFirst processes deepest nodes (by w-weighted root distance)
 // first, targeting the critical path. (2-1/p)-approximation for makespan;
 // unbounded memory ratio in the worst case.
-func ParDeepestFirst(t *Tree, p int) (*Schedule, error) { return sched.ParDeepestFirst(t, p) }
+func ParDeepestFirst(t *Tree, p int) (*Schedule, error) {
+	return runUniform(t, p, sched.IDParDeepestFirst, 0)
+}
 
 // MemCapped schedules under a hard peak-memory cap by activating tasks in
 // optimal-postorder order (the paper's future-work proposal). It fails if
 // cap is below the sequential requirement.
-func MemCapped(t *Tree, p int, cap int64) (*Schedule, error) { return sched.MemCapped(t, p, cap) }
+func MemCapped(t *Tree, p int, cap int64) (*Schedule, error) {
+	return runUniform(t, p, sched.IDMemCapped, cap)
+}
 
 // MemCappedBooking schedules under a hard peak-memory cap with
 // deepest-first admission: memory not booked for the reference traversal's
 // future needs is lent to out-of-order tasks, recovering most of the
 // parallelism lost by MemCapped while never deadlocking or exceeding cap.
 func MemCappedBooking(t *Tree, p int, cap int64) (*Schedule, error) {
-	return sched.MemCappedBooking(t, p, cap)
+	return runUniform(t, p, sched.IDMemCappedBooking, cap)
+}
+
+// runUniform runs heuristic id on t on the paper's uniform machine of p
+// processors, through a Precompute built for this one call.
+func runUniform(t *Tree, p int, id HeuristicID, cap int64) (*Schedule, error) {
+	if p < 1 {
+		return nil, fmt.Errorf("sched: need at least one processor, got %d", p)
+	}
+	return sched.NewPrecompute(t).Run(id, machine.Uniform(p), cap)
 }
 
 // SplitSubtrees exposes the makespan-optimal subtree decomposition used by
@@ -203,8 +221,10 @@ func SplitSubtrees(t *Tree, p int) (Splitting, error) { return sched.SplitSubtre
 // memory-optimal postorder, M_seq, depths and the per-heuristic priority
 // rankings, computed once per tree and safe for concurrent use. Build one
 // with NewPrecompute when scheduling the same tree more than once (several
-// heuristics, repeated calls, different processor counts) and call its
-// methods (ParInnerFirst, MemCapped, Run, …) instead of the package-level
+// heuristics, repeated calls, different machines) and call its Run method
+// — Run(id, machine, cap), with machine from UniformMachine or
+// ParseMachineSpec and cap the absolute memory cap of the capped
+// heuristics (ignored by the rest) — instead of the package-level
 // functions, which construct a throwaway context per call.
 type Precompute = sched.Precompute
 
