@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"strings"
 	"time"
@@ -334,24 +335,42 @@ func measure(f func(), budget time.Duration) (nsOp, allocsOp float64) {
 // time fewer iterations, count over fewer.
 const allocRuns = 16
 
-// allocsPerRun returns the allocations per call of f over runs calls,
-// counted as testing.AllocsPerRun counts them: under GOMAXPROCS 1, after
-// one warm call, rounded down to a whole count. With more Ps the calling
-// goroutine can migrate between Ps and miss the sync.Pool entry its last
-// call left on another P, and every collection costs each pool an
-// allocation on its next use; a collection before the warm call leaves the
-// pass a full heap budget. Otherwise both would count runtime noise as the
-// code's allocations. The old GOMAXPROCS is restored.
+// allocHeapBudget bounds the heap the allocation pass may grow while the
+// collector is off: rows whose warm call allocates more than
+// allocHeapBudget/allocRuns bytes count over fewer calls.
+const allocHeapBudget = 256 << 20
+
+// allocsPerRun returns the allocations per call of f over at most runs
+// calls, counted as testing.AllocsPerRun counts them: under GOMAXPROCS 1,
+// after one warm call, rounded down to a whole count. With more Ps the
+// calling goroutine can migrate between Ps and miss the sync.Pool entry
+// its last call left on another P, and every collection empties the pools,
+// costing each an allocation on its next use: a row that allocates
+// megabytes per call (Paper4/cold's fresh Precompute) would trigger
+// collections inside the pass. So the pass starts after a collection and
+// a warm call, and runs with the collector off, over as many calls as
+// allocHeapBudget allows at the warm call's allocation volume. Otherwise
+// both effects would count runtime noise as the code's allocations. The
+// old GOMAXPROCS and GC percent are restored, and the pass's garbage is
+// collected before the next row is timed.
 func allocsPerRun(f func(), runs int) float64 {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	runtime.GC()
-	f() // refill the pools: GOMAXPROCS changes and collections empty them
 	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f() // refill the pools: GOMAXPROCS changes and collections empty them
+	runtime.ReadMemStats(&after)
+	if perCall := after.TotalAlloc - before.TotalAlloc; perCall > 0 {
+		runs = max(1, min(runs, int(allocHeapBudget/perCall)))
+	}
+	gcPercent := debug.SetGCPercent(-1)
 	runtime.ReadMemStats(&before)
 	for i := 0; i < runs; i++ {
 		f()
 	}
 	runtime.ReadMemStats(&after)
+	debug.SetGCPercent(gcPercent)
+	runtime.GC() // the pass's garbage, collected before the next row's timing
 	return float64((after.Mallocs - before.Mallocs) / uint64(runs))
 }
 

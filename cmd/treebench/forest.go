@@ -157,10 +157,13 @@ func forestGate(rep *ForestReport, path string, maxratio float64) error {
 }
 
 // compareForest errors when rep's simulation throughput fell below base's
-// by more than maxratio, or when a baseline policy is missing from rep or
-// completed fewer jobs. The limit is written as !(x >= limit) so a NaN
-// throughput fails too, and policies are checked in name order so a run
-// with several failures always reports the same one.
+// by more than maxratio, or when rep's outputs differ from base's: the
+// resolved mem_cap, a baseline policy missing from rep, or any field of a
+// policy's stats. Outputs must match exactly, because the forest plans
+// with the scheduling core, whose schedules are byte-stable. The checks
+// are written so a NaN fails (!(x >= limit), and NaN != NaN), and
+// policies are checked in name order so a run with several failures
+// always reports the same one.
 func compareForest(base, rep *ForestReport, maxratio float64) error {
 	if base.Suite != rep.Suite || base.Scale != rep.Scale || base.Seed != rep.Seed ||
 		base.Jobs != rep.Jobs || base.Processors != rep.Processors {
@@ -172,15 +175,34 @@ func compareForest(base, rep *ForestReport, maxratio float64) error {
 		return fmt.Errorf("simulation throughput %.0f jobs/sec below baseline %.0f / %g",
 			rep.SimJobsPerSec, base.SimJobsPerSec, maxratio)
 	}
-	// Quality regression guard: a policy silently completing fewer jobs
-	// than the baseline is a behavior change, not noise.
+	if rep.MemCap != base.MemCap {
+		return fmt.Errorf("mem_cap %d, baseline %d", rep.MemCap, base.MemCap)
+	}
 	for _, name := range slices.Sorted(maps.Keys(base.Policies)) {
 		st, ok := rep.Policies[name]
 		if !ok {
 			return fmt.Errorf("policy %s present in baseline but not in this run", name)
 		}
-		if bst := base.Policies[name]; st.Completed < bst.Completed {
+		bst := base.Policies[name]
+		if st.Completed != bst.Completed {
 			return fmt.Errorf("policy %s completed %d jobs, baseline %d", name, st.Completed, bst.Completed)
+		}
+		for _, f := range []struct {
+			name      string
+			got, want any
+		}{
+			{"rejected", st.Rejected, bst.Rejected},
+			{"makespan", st.Makespan, bst.Makespan},
+			{"utilization", st.Utilization, bst.Utilization},
+			{"peak_resident", st.PeakResident, bst.PeakResident},
+			{"mean_latency", st.MeanLatency, bst.MeanLatency},
+			{"p99_latency", st.P99Latency, bst.P99Latency},
+			{"mean_stretch", st.MeanStretch, bst.MeanStretch},
+			{"mean_wait", st.MeanWait, bst.MeanWait},
+		} {
+			if f.got != f.want {
+				return fmt.Errorf("policy %s %s %v, baseline %v", name, f.name, f.got, f.want)
+			}
 		}
 	}
 	return nil

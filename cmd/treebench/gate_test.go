@@ -51,20 +51,39 @@ func TestComparePortfolio(t *testing.T) {
 func TestCompareForest(t *testing.T) {
 	report := func(perSec float64, completed map[string]int) *ForestReport {
 		r := &ForestReport{Suite: "forest", Scale: "quick", Seed: 42, Processors: 8, Jobs: 60,
-			SimJobsPerSec: perSec, Policies: make(map[string]ForestPolicyStats)}
+			MemCap: 2963, SimJobsPerSec: perSec, Policies: make(map[string]ForestPolicyStats)}
 		for name, c := range completed {
-			r.Policies[name] = ForestPolicyStats{Completed: c}
+			r.Policies[name] = ForestPolicyStats{Completed: c, Makespan: 5578.524270651017,
+				Utilization: 0.9011852609092624, PeakResident: 2215, MeanLatency: 2444.8135117459474,
+				P99Latency: 4766.715432890312, MeanStretch: 4.917149138873854, MeanWait: 1225.5222583514792}
 		}
 		return r
 	}
 	all := map[string]int{"fifo": 60, "sjf": 60, "smallest_mseq": 60, "weighted_fair": 60}
 	base := report(1000, all)
+	edit := func(name string, f func(*ForestPolicyStats)) *ForestReport {
+		r := report(1000, all)
+		st := r.Policies[name]
+		f(&st)
+		r.Policies[name] = st
+		return r
+	}
 	for _, tc := range []struct {
 		name    string
 		rep     *ForestReport
 		wantErr string
 	}{
 		{"same numbers pass", report(1000, all), ""},
+		{"changed makespan fails", edit("sjf", func(st *ForestPolicyStats) { st.Makespan = 5578.524270651018 }),
+			"policy sjf makespan 5578.524270651018, baseline 5578.524270651017"},
+		{"changed peak fails", edit("weighted_fair", func(st *ForestPolicyStats) { st.PeakResident-- }),
+			"policy weighted_fair peak_resident 2214, baseline 2215"},
+		{"NaN stretch fails", edit("fifo", func(st *ForestPolicyStats) { st.MeanStretch = math.NaN() }),
+			"policy fifo mean_stretch NaN, baseline 4.917149138873854"},
+		{"more completions fail", edit("fifo", func(st *ForestPolicyStats) { st.Completed++ }),
+			"policy fifo completed 61 jobs, baseline 60"},
+		{"changed mem_cap fails", func() *ForestReport { r := report(1000, all); r.MemCap++; return r }(),
+			"mem_cap 2964, baseline 2963"},
 		{"improvement passes", report(5000, all), ""},
 		{"throughput regression fails", report(499, all), "simulation throughput 499 jobs/sec below baseline 1000 / 2"},
 		{"NaN throughput fails", report(math.NaN(), all), "simulation throughput NaN jobs/sec"},

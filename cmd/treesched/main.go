@@ -155,7 +155,7 @@ func main() {
 		// The first heuristic's schedule is the one -timeline renders
 		// (with -heuristic <name> that is the selected heuristic).
 		if *timeline != "" && i == 0 {
-			writeTimeline(*timeline, t, s, name, memCapOf(*memcap, memLB))
+			writeTimeline(*timeline, t, s, name, memCapOf(id, *memcap, memLB))
 		}
 	}
 	if *memcap > 0 {
@@ -175,11 +175,12 @@ func main() {
 	printTrace(tr)
 }
 
-// memCapOf resolves the timeline's memory-counter cap series: the cap the
-// capped schedulers run under (sched.CapFromFactor of the -memcap factor),
-// or 0 (no cap series) for uncapped runs.
-func memCapOf(factor float64, memSeq int64) int64 {
-	if factor <= 0 {
+// memCapOf resolves the memory-counter cap series of a timeline of
+// heuristic id: the cap id ran under (sched.CapFromFactor of the -memcap
+// factor) when it runs capped (sched.HeuristicID.Capped), else 0, no cap
+// series.
+func memCapOf(id sched.HeuristicID, factor float64, memSeq int64) int64 {
+	if factor <= 0 || !id.Capped() {
 		return 0
 	}
 	return sched.CapFromFactor(factor, memSeq)
@@ -250,7 +251,7 @@ func runExact(t *tree.Tree, mach *machine.Model, memcap float64, budgetSpec stri
 	report(w, "Exact", t, res.Schedule, msLB, memLB)
 	w.Flush()
 	if timeline != "" {
-		writeTimeline(timeline, t, res.Schedule, "Exact", memCapOf(memcap, memLB))
+		writeTimeline(timeline, t, res.Schedule, "Exact", memCapOf(sched.IDExact, memcap, memLB))
 	}
 	if res.Proven {
 		fmt.Printf("\nexact: proven optimal (explored %d nodes, pruned %d, memo hits %d, lower bound %.6g)\n",
@@ -312,7 +313,7 @@ func runPortfolio(pc *sched.Precompute, mach *machine.Model, objSpec string, mem
 		fmt.Printf("\nwinner under %s: %s (makespan %.6g, memory %d)\n",
 			res.Objective, win.ID, win.Makespan, win.PeakMemory)
 		if timeline != "" {
-			writeTimeline(timeline, pc.Tree(), win.Schedule, win.ID.String(), memCapOf(memcap, res.MemorySeq))
+			writeTimeline(timeline, pc.Tree(), win.Schedule, win.ID.String(), memCapOf(win.ID, memcap, res.MemorySeq))
 		}
 	} else {
 		fmt.Println("\nno winner: every candidate failed")

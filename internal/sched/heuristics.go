@@ -56,7 +56,7 @@ func Heuristics() []Heuristic {
 // internal/portfolio (and, for Exact, internal/exact).
 func ByName(name string) (Heuristic, bool) {
 	id, err := ParseHeuristic(name)
-	if err != nil || id == IDMemCapped || id == IDMemCappedBooking || id == IDAuto || id == IDExact {
+	if err != nil || id.Capped() || id == IDAuto {
 		return Heuristic{}, false
 	}
 	return unbound(id), true

@@ -121,6 +121,14 @@ func (id HeuristicID) String() string {
 // Valid reports whether id names an actual heuristic.
 func (id HeuristicID) Valid() bool { return id >= 0 && id < numHeuristicIDs }
 
+// Capped reports whether id schedules under the memory cap of its
+// selection, CapFromFactor(MemCapFactor, M_seq): MemCapped,
+// MemCappedBooking and Exact do, every other heuristic ignores it. A
+// rendered schedule shows a cap only when its heuristic ran under one.
+func (id HeuristicID) Capped() bool {
+	return id == IDMemCapped || id == IDMemCappedBooking || id == IDExact
+}
+
 // ParseHeuristic resolves a canonical wire name to its ID. Unknown names
 // yield an error enumerating every valid name, so trace and request
 // authors see the whole menu instead of guessing.
@@ -219,7 +227,7 @@ func (o Options) Validate() error {
 			return fmt.Errorf("sched: options: Exact is a pseudo-heuristic; it runs through the portfolio layer or the exact solver, not a plain selection")
 		}
 		// !(>= 1) rather than (< 1) so NaN is rejected too.
-		if (id == IDMemCapped || id == IDMemCappedBooking) && !(o.MemCapFactor >= 1) {
+		if id.Capped() && !(o.MemCapFactor >= 1) {
 			return fmt.Errorf("sched: options: %s requires mem_cap_factor >= 1, got %g", id, o.MemCapFactor)
 		}
 	}

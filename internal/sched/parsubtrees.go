@@ -328,7 +328,7 @@ func (sc *subtreeScratch) place(t *tree.Tree, m *machine.Model, s *Schedule, pro
 }
 
 // subtreeScratch is the reusable working set of one ParSubtrees call,
-// recycled through subtreePool like the list schedulers' schedScratch, so
+// recycled through subtreePool like the event engine's scratch, so
 // a warm call allocates only its Schedule and, unless a selection's share
 // already holds it, its Splitting.
 type subtreeScratch struct {

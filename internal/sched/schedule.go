@@ -1,9 +1,14 @@
 // Package sched implements the parallel, memory-aware tree-scheduling
 // heuristics of Marchal, Sinnen and Vivien (INRIA RR-8082, IPDPS 2013):
-// ParSubtrees, ParSubtreesOptim, ParInnerFirst and ParDeepestFirst, together
-// with the event-driven list-scheduling engine they share (paper Alg. 3), a
-// discrete-event peak-memory simulator, bi-objective lower bounds, and a
-// memory-capped scheduler (the paper's stated future work).
+// ParSubtrees and ParSubtreesOptim (paper Alg. 1–2), ParInnerFirst and
+// ParDeepestFirst (paper Alg. 3), together with two memory-capped
+// schedulers (the paper's stated future work), a discrete-event
+// peak-memory simulator and bi-objective lower bounds. The list heuristics
+// and both capped schedulers share one event-driven engine (Alg. 3) and
+// differ only in its admission rule: the ready task of lowest rank
+// (ParInnerFirst, ParDeepestFirst), σ in order under the cap (MemCapped),
+// or the ready set in booking rank within the memory not booked for σ's
+// future (MemCappedBooking).
 package sched
 
 import (
@@ -39,6 +44,16 @@ type Schedule struct {
 	// Invalidate.
 	peak      int64
 	peakKnown bool
+}
+
+// hetModel is the Schedule.M normalization: uniform machines are the
+// implicit default (nil), so uniform schedules stay bit-compatible with
+// every historical consumer.
+func hetModel(m *machine.Model) *machine.Model {
+	if m.IsUniform() {
+		return nil
+	}
+	return m
 }
 
 // Invalidate drops the cached peak-memory/validity metadata; call it after

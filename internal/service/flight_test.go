@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"treesched/internal/obs"
+	"treesched/internal/sched"
 )
 
 // flightPage decodes GET /debug/flight.
@@ -453,7 +454,10 @@ func timelineEvents(t *testing.T, raw json.RawMessage) (tasks int, resident, cap
 // TestTimelineCapIsTheRunCap checks that a capped ?timeline=1 answer
 // draws the cap the capped heuristics ran under, ⌈f × memory_seq⌉, and
 // that resident memory stays under it, on every tree and machine of the
-// golden grid.
+// golden grid; and that a timeline whose schedule ran uncapped draws no
+// cap, though the request carries a factor: a lone uncapped heuristic,
+// and an uncapped heuristic listed before a capped one (the timeline
+// shows the first).
 func TestTimelineCapIsTheRunCap(t *testing.T) {
 	s := New(Config{Workers: 2})
 	defer s.Close()
@@ -482,6 +486,20 @@ func TestTimelineCapIsTheRunCap(t *testing.T) {
 			}
 			if resident[i] > c {
 				t.Fatalf("%s: resident %d crosses the drawn cap %d", g.name, resident[i], c)
+			}
+		}
+		for _, ids := range [][]sched.HeuristicID{
+			{sched.IDParInnerFirst},
+			{sched.IDParDeepestFirst, sched.IDMemCapped},
+		} {
+			req.Heuristics = ids
+			resp := decodeResponse(t, post(t, h, g.path, mustJSON(t, req)))
+			if resp.Error != "" || resp.Timeline == nil {
+				t.Fatalf("%s %v: error %q, timeline %v", g.name, ids, resp.Error, resp.Timeline != nil)
+			}
+			if _, resident, caps := timelineEvents(t, resp.Timeline); len(resident) == 0 || len(caps) != 0 {
+				t.Fatalf("%s %v: %d memory samples, %d with a cap; an uncapped %s schedule has none",
+					g.name, ids, len(resident), len(caps), ids[0])
 			}
 		}
 		checked++

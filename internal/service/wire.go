@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"time"
 
@@ -470,15 +471,10 @@ func cacheKey(treeHash string, opts sched.Options, obj *portfolio.Objective) str
 	return b.String()
 }
 
+// needsCapFactor reports whether a selection's answers depend on its cap
+// factor: the capped heuristics, the exact solver included, run under it.
 func needsCapFactor(ids []sched.HeuristicID) bool {
-	for _, id := range ids {
-		// The exact solver caps its search at MemCapFactor × M_seq too,
-		// so its responses must not alias across factors.
-		if id == sched.IDMemCapped || id == sched.IDMemCappedBooking || id == sched.IDExact {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(ids, sched.HeuristicID.Capped)
 }
 
 // topCandidates is the degradation ladder's trim: the first n non-Exact
@@ -714,15 +710,16 @@ acquire:
 }
 
 // renderTimeline renders candidate id's schedule, taken from the race, as
-// Chrome Trace Event Format JSON for the Response.Timeline field, with the
-// cap the capped heuristics ran under (sched.CapFromFactor of the
-// request's factor) as the memory counter's cap series. t is the tree the
-// race scheduled (a canonically-equal copy of the request's on a
-// Precompute-cache hit). A rendering failure drops the timeline rather
-// than the response.
+// Chrome Trace Event Format JSON for the Response.Timeline field. When id
+// ran under the request's cap (sched.HeuristicID.Capped), the memory
+// counter gets that cap, sched.CapFromFactor of the request's factor, as
+// its cap series; an uncapped schedule gets none, whatever the factor. t
+// is the tree the race scheduled (a canonically-equal copy of the
+// request's on a Precompute-cache hit). A rendering failure drops the
+// timeline rather than the response.
 func renderTimeline(t *tree.Tree, sc *sched.Schedule, id sched.HeuristicID, memCapFactor float64, memSeq int64) json.RawMessage {
 	var memCap int64
-	if memCapFactor > 0 {
+	if memCapFactor > 0 && id.Capped() {
 		memCap = sched.CapFromFactor(memCapFactor, memSeq)
 	}
 	var buf bytes.Buffer

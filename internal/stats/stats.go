@@ -21,18 +21,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// GeoMean returns the geometric mean of xs; all entries must be positive.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}
-
 // Percentile returns the q-th percentile of xs (q in [0,100]) with linear
 // interpolation between ranks; 0 for empty input.
 func Percentile(xs []float64, q float64) float64 {
@@ -83,20 +71,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// Fraction returns the share of entries for which pred holds.
-func Fraction(xs []float64, pred func(float64) bool) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	c := 0
-	for _, x := range xs {
-		if pred(x) {
-			c++
-		}
-	}
-	return float64(c) / float64(len(xs))
 }
 
 // Cross is the distribution marker of the paper's scatter plots: the mean

@@ -17,15 +17,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 4}); math.Abs(got-2) > 1e-12 {
-		t.Errorf("GeoMean = %g, want 2", got)
-	}
-	if GeoMean(nil) != 0 {
-		t.Errorf("GeoMean(nil) != 0")
-	}
-}
-
 func TestPercentile(t *testing.T) {
 	xs := []float64{4, 1, 3, 2}
 	cases := []struct{ q, want float64 }{
@@ -49,19 +40,13 @@ func TestPercentileDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestMinMaxFraction(t *testing.T) {
+func TestMinMax(t *testing.T) {
 	xs := []float64{2, -1, 5}
 	if Min(xs) != -1 || Max(xs) != 5 {
 		t.Errorf("Min/Max wrong: %g %g", Min(xs), Max(xs))
 	}
 	if Min(nil) != 0 || Max(nil) != 0 {
 		t.Errorf("empty Min/Max wrong")
-	}
-	if got := Fraction(xs, func(x float64) bool { return x > 0 }); math.Abs(got-2.0/3) > 1e-12 {
-		t.Errorf("Fraction = %g", got)
-	}
-	if Fraction(nil, func(float64) bool { return true }) != 0 {
-		t.Errorf("Fraction(nil) != 0")
 	}
 }
 
