@@ -147,7 +147,8 @@ func coreMain(scale string, seed int64, machSpec, out, baseline string, maxratio
 				fatal(err)
 			}
 			// The Decode rows read the tree from its two wire forms, and from
-			// a whole /v1/schedule request body through the envelope split.
+			// whole /v1/schedule request bodies, one per form, through the
+			// envelope split.
 			wireJSON, err := json.Marshal(t)
 			if err != nil {
 				fatal(err)
@@ -158,6 +159,12 @@ func coreMain(scale string, seed int64, machSpec, out, baseline string, maxratio
 			}
 			body := append([]byte(`{"id":"bench-1","p":8,"heuristics":["ParInnerFirst","ParDeepestFirst"],"tree":`), wireJSON...)
 			body = append(body, `,"objective":"min_makespan"}`...)
+			quotedText, err := json.Marshal(wireText.String())
+			if err != nil {
+				fatal(err)
+			}
+			textBody := append([]byte(`{"id":"bench-1","p":8,"heuristics":["ParInnerFirst","ParDeepestFirst"],"tree_text":`), quotedText...)
+			textBody = append(textBody, `,"objective":"min_makespan"}`...)
 			c, err := tree.DecodeEnvelopeAliased(body, service.DefaultMaxNodes, &service.Request{}, aliasOf)
 			if err != nil {
 				fatal(err)
@@ -229,6 +236,16 @@ func coreMain(scale string, seed int64, machSpec, out, baseline string, maxratio
 				{"Decode/request", func() {
 					var req service.Request
 					c, err := tree.DecodeEnvelope(body, service.DefaultMaxNodes, &req)
+					if err == nil {
+						_, err = c.Tree()
+					}
+					mustDecode(err)
+				}},
+				// The same request carrying the text form in tree_text, as
+				// Tree.Encode writes it: read in place from the JSON string.
+				{"Decode/request/text", func() {
+					var req service.Request
+					c, err := tree.DecodeEnvelope(textBody, service.DefaultMaxNodes, &req)
 					if err == nil {
 						_, err = c.Tree()
 					}

@@ -138,11 +138,12 @@ func TestAliasCacheOff(t *testing.T) {
 	tr := testTree(t, 42, 30)
 	var hashes []string
 	for i := 0; i < 2; i++ {
-		resp := decodeResponse(t, postJSON(t, h, "/v1/schedule?trace=1", Request{Tree: tr, Processors: 2}))
+		body := encodeJSON(t, Request{Tree: tr, Processors: 2})
+		resp := decodeResponse(t, post(t, h, "/v1/schedule?trace=1", body))
 		if resp.Error != "" {
 			t.Fatal(resp.Error)
 		}
-		checkSpanTree(t, resp.Trace, []string{"decode", "hash"})
+		checkSpanTree(t, resp.Trace, len(body), []string{"decode", "hash"})
 		hashes = append(hashes, resp.TreeHash)
 	}
 	if s.aliases != nil || hashes[0] != hashes[1] {

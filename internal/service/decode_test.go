@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"reflect"
 	"strings"
@@ -212,6 +213,41 @@ func TestParseDeepNesting(t *testing.T) {
 	}
 }
 
+// numberForms are number literals at the edges of the JSON and strconv
+// grammars and of the tree decoders' exact float conversion.
+var numberForms = []string{
+	"01", "-01", "1.", ".5", "-", "1e", "1e+", "+1", // malformed
+	"-0", "1E5", // valid edge forms
+	"1e400", "1e-400", "4.9e-324", // out of range
+	"1234567890123456789", "1234567890123456780", "12345678901234567891", "12345678901234567800",
+	"1.234567890123456789", "1.2345678901234567891", // mantissas of 19 and 20 digits
+	"9007199254740993", // just above 2^53
+	"9007199254740993e19", "9007199254740993e-19", "1e20", "1e-20",
+	"9007199254740993e22", "9007199254740993e-22", "1e23", "1e-23",
+	"0x1p3", "inf", "NaN", "1_0", // text-only forms
+}
+
+// numberBodies returns requests that carry each of numberForms once in
+// each array of a JSON tree and once in each field of a text tree's node
+// line.
+func numberBodies() []string {
+	var out []string
+	for _, lit := range numberForms {
+		for _, name := range []string{"parent", "w", "n", "f"} {
+			arrays := map[string]string{"parent": "-1,0", "w": "1,2", "n": "0,0", "f": "1,1"}
+			arrays[name] = arrays[name][:strings.IndexByte(arrays[name], ',')+1] + lit
+			out = append(out, fmt.Sprintf(`{"tree":{"parent":[%s],"w":[%s],"n":[%s],"f":[%s]},"p":2}`,
+				arrays["parent"], arrays["w"], arrays["n"], arrays["f"]))
+		}
+		for k := 0; k < 5; k++ {
+			fields := strings.Fields("1 0 1 0 1")
+			fields[k] = lit
+			out = append(out, `{"tree_text":"2\n0 -1 1 0 1\n`+strings.Join(fields, " ")+`\n","p":2}`)
+		}
+	}
+	return out
+}
+
 // FuzzRequestDecode checks the split request decode against encoding/json
 // plus prepare on arbitrary bodies, cold and through the alias cache: the
 // same Request fields, tree hash, HTTP status and errors_total kind.
@@ -228,6 +264,9 @@ func FuzzRequestDecode(f *testing.F) {
 		``,
 	} {
 		f.Add([]byte(seed))
+	}
+	for _, body := range numberBodies() {
+		f.Add([]byte(body))
 	}
 	s := newDecodeServer(f)
 	f.Fuzz(func(t *testing.T, raw []byte) {

@@ -129,7 +129,10 @@ func (s *Server) handleOne(w http.ResponseWriter, r *http.Request, forcePortfoli
 		reject(http.StatusBadRequest, s.metrics.errDecode, errKindDecode, terr.Error())
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	readSpan := tr.Start("read", obs.RootSpan)
+	body, err := readBody(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes), min(r.ContentLength, s.cfg.MaxBodyBytes+1))
+	tr.SetValue(readSpan, int64(len(body)))
+	tr.End(readSpan)
 	if err != nil {
 		var tooLarge *http.MaxBytesError
 		if errors.As(err, &tooLarge) {
@@ -175,6 +178,26 @@ func (s *Server) handleOne(w http.ResponseWriter, r *http.Request, forcePortfoli
 	}
 	writeJSON(w, out.status, out.resp)
 	finish(out.status, out.resp)
+}
+
+// maxBodyAhead bounds how far readBody allocates ahead of the bytes it
+// has received: a declared length above it is not trusted up front.
+const maxBodyAhead = 1 << 20
+
+// readBody reads a request body to its end. When its declared length n
+// is known (n >= 0) and at most maxBodyAhead, the body goes into one
+// buffer of that size; otherwise the buffer grows as io.ReadAll grows it.
+// The buffer is the request's own, not pooled: the job keeps it after an
+// alias hit.
+func readBody(r io.Reader, n int64) ([]byte, error) {
+	if n < 0 || n > maxBodyAhead {
+		return io.ReadAll(r)
+	}
+	// ReadFrom reads while MinRead bytes are free, so the end of the body
+	// is found without growing the buffer.
+	buf := bytes.NewBuffer(make([]byte, 0, n+bytes.MinRead))
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
 }
 
 // handleBatch answers POST /v1/schedule/batch: NDJSON in, NDJSON out, one

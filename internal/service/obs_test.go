@@ -212,19 +212,20 @@ func TestTraceOptIn(t *testing.T) {
 		t.Fatal("trace present without ?trace=1")
 	}
 
-	resp = decodeResponse(t, postJSON(t, h, "/v1/schedule?trace=1", Request{Tree: tr, Processors: 2}))
+	body := encodeJSON(t, Request{Tree: tr, Processors: 2})
+	resp = decodeResponse(t, post(t, h, "/v1/schedule?trace=1", body))
 	if resp.Error != "" {
 		t.Fatal(resp.Error)
 	}
-	checkSpanTree(t, resp.Trace, []string{"decode", "hash", "cache", "precompute", "schedule", "evaluate", "encode"})
+	checkSpanTree(t, resp.Trace, len(body), []string{"decode", "hash", "cache", "precompute", "schedule", "evaluate", "encode"})
 	checkCandidateSpans(t, resp)
 
 	// The tree's bytes repeat, so the alias cache supplies its hash.
-	presp := decodeResponse(t, postJSON(t, h, "/v1/portfolio?trace=1", Request{Tree: tr, Processors: 2}))
+	presp := decodeResponse(t, post(t, h, "/v1/portfolio?trace=1", body))
 	if presp.Error != "" {
 		t.Fatal(presp.Error)
 	}
-	checkSpanTree(t, presp.Trace, []string{"decode", "hash_cached", "cache", "schedule", "evaluate", "encode"})
+	checkSpanTree(t, presp.Trace, len(body), []string{"decode", "hash_cached", "cache", "schedule", "evaluate", "encode"})
 	checkCandidateSpans(t, presp)
 	// Every frontier member is a candidate.
 	for _, id := range presp.Frontier {
@@ -234,11 +235,11 @@ func TestTraceOptIn(t *testing.T) {
 	}
 
 	// A cache hit is traced too (the hit's own spans, not the miss's).
-	cresp := decodeResponse(t, postJSON(t, h, "/v1/schedule?trace=1", Request{Tree: tr, Processors: 2}))
+	cresp := decodeResponse(t, post(t, h, "/v1/schedule?trace=1", body))
 	if !cresp.Cached {
 		t.Fatal("expected cache hit")
 	}
-	checkSpanTree(t, cresp.Trace, []string{"decode", "hash_cached", "cache", "encode"})
+	checkSpanTree(t, cresp.Trace, len(body), []string{"decode", "hash_cached", "cache", "encode"})
 
 	// Exact candidate spans carry the explored-node count as the value and
 	// it matches the explored_nodes field of the result.
@@ -298,9 +299,10 @@ func checkCandidateSpans(t *testing.T, resp Response) {
 	}
 }
 
-// checkSpanTree asserts the tree is rooted at "request", contains every
-// wanted span name, and has non-negative offsets and durations throughout.
-func checkSpanTree(t *testing.T, root *obs.SpanNode, want []string) {
+// checkSpanTree asserts the tree is rooted at "request", has a top-level
+// "read" span whose value is the body's length, contains every wanted
+// span name, and has non-negative offsets and durations throughout.
+func checkSpanTree(t *testing.T, root *obs.SpanNode, bodyLen int, want []string) {
 	t.Helper()
 	if root == nil {
 		t.Fatal("trace missing from response")
@@ -319,6 +321,10 @@ func checkSpanTree(t *testing.T, root *obs.SpanNode, want []string) {
 		if !seen[name] {
 			t.Errorf("trace missing span %q (have %v)", name, seen)
 		}
+	}
+	i := slices.IndexFunc(root.Spans, func(n *obs.SpanNode) bool { return n.Name == "read" })
+	if i < 0 || root.Spans[i].Value != int64(bodyLen) {
+		t.Errorf("no top-level read span with value %d, the body's length", bodyLen)
 	}
 }
 

@@ -102,17 +102,19 @@ func TestPrecomputeCachedSpan(t *testing.T) {
 	h := s.Handler()
 	tr := testTree(t, 22, 30)
 
-	resp := decodeResponse(t, postJSON(t, h, "/v1/schedule?trace=1", Request{Tree: tr, Processors: 2}))
+	body := encodeJSON(t, Request{Tree: tr, Processors: 2})
+	resp := decodeResponse(t, post(t, h, "/v1/schedule?trace=1", body))
 	if resp.Error != "" {
 		t.Fatal(resp.Error)
 	}
-	checkSpanTree(t, resp.Trace, []string{"precompute"})
+	checkSpanTree(t, resp.Trace, len(body), []string{"precompute"})
 
-	resp = decodeResponse(t, postJSON(t, h, "/v1/schedule?trace=1", Request{Tree: tr, Processors: 4}))
+	body = encodeJSON(t, Request{Tree: tr, Processors: 4})
+	resp = decodeResponse(t, post(t, h, "/v1/schedule?trace=1", body))
 	if resp.Error != "" {
 		t.Fatal(resp.Error)
 	}
-	checkSpanTree(t, resp.Trace, []string{"precompute_cached"})
+	checkSpanTree(t, resp.Trace, len(body), []string{"precompute_cached"})
 	var val int64 = -1
 	seenMiss := false
 	resp.Trace.Walk(func(n *obs.SpanNode, _ int) {

@@ -34,11 +34,17 @@ func testTree(tb testing.TB, seed int64, n int) *tree.Tree {
 
 func postJSON(tb testing.TB, h http.Handler, path string, body any) *httptest.ResponseRecorder {
 	tb.Helper()
+	return post(tb, h, path, encodeJSON(tb, body))
+}
+
+// encodeJSON returns the request body postJSON sends for v.
+func encodeJSON(tb testing.TB, v any) []byte {
+	tb.Helper()
 	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(body); err != nil {
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
 		tb.Fatal(err)
 	}
-	return post(tb, h, path, buf.Bytes())
+	return buf.Bytes()
 }
 
 func post(tb testing.TB, h http.Handler, path string, body []byte) *httptest.ResponseRecorder {

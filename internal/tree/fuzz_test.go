@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -46,6 +47,30 @@ func checkCap(t *testing.T, name string, value []byte, tr *Tree) {
 	}
 }
 
+// jsonWithNumber returns a two-node JSON tree once per array, with lit as
+// that array's second element.
+func jsonWithNumber(lit string) []string {
+	var out []string
+	for _, name := range []string{"parent", "w", "n", "f"} {
+		arrays := map[string]string{"parent": "-1,0", "w": "1,2", "n": "0,0", "f": "1,1"}
+		arrays[name] = arrays[name][:strings.IndexByte(arrays[name], ',')+1] + lit
+		out = append(out, fmt.Sprintf(`{"parent":[%s],"w":[%s],"n":[%s],"f":[%s]}`, arrays["parent"], arrays["w"], arrays["n"], arrays["f"]))
+	}
+	return out
+}
+
+// textWithNumber returns a two-node text tree once per field of a node
+// line, with lit as that field of the second line.
+func textWithNumber(lit string) []string {
+	var out []string
+	for k := 0; k < 5; k++ {
+		fields := strings.Fields("1 0 1 0 1")
+		fields[k] = lit
+		out = append(out, "2\n0 -1 1 0 1\n"+strings.Join(fields, " ")+"\n")
+	}
+	return out
+}
+
 // FuzzDecode hardens the text parser: arbitrary input must never panic;
 // the byte-level decoder must accept exactly what the bufio reference
 // accepts, both from raw bytes and from inside a JSON string (as the
@@ -64,6 +89,11 @@ func FuzzDecode(f *testing.F) {
 	f.Add("1\n0 -1 1 0 1 6\n")                                     // six fields
 	f.Add("1\n0 -1 1 0 \xff\n# \xff\xfe\n")                        // invalid UTF-8
 	f.Add("2\n0 -1 1 0 1\n0 0 1 0 1\n")                            // duplicate node
+	for _, lit := range numberForms {
+		for _, in := range textWithNumber(lit) {
+			f.Add(in)
+		}
+	}
 	// The cap keeps a fuzzed header line from allocating gigabytes; the
 	// decoders must agree on it like on everything else.
 	const maxNodes = 1 << 12
@@ -125,6 +155,11 @@ func FuzzTreeJSON(f *testing.F) {
 	f.Add([]byte(`{"parent":[-1],"w":[1e400]}`))                                           // float overflow
 	f.Add([]byte(`{"parent":[-1],"w":[1]} x`))                                             // trailing bytes
 	f.Add([]byte(`null`))
+	for _, lit := range numberForms {
+		for _, in := range jsonWithNumber(lit) {
+			f.Add([]byte(in))
+		}
+	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		want, wantErr := refUnmarshalJSON(in)
 		var tr Tree

@@ -14,10 +14,16 @@ import (
 // is a safe key for result caches.
 func (t *Tree) CanonicalHash() string {
 	h := sha256.New()
-	var buf [8]byte
+	// The words go to the digest a few KiB at a time: one Write per word
+	// cost more than the hashing itself.
+	var buf [4096]byte
+	b := buf[:0]
 	put := func(x uint64) {
-		binary.LittleEndian.PutUint64(buf[:], x)
-		h.Write(buf[:])
+		if len(b) == len(buf) {
+			h.Write(b)
+			b = buf[:0]
+		}
+		b = binary.LittleEndian.AppendUint64(b, x)
 	}
 	put(uint64(t.Len()))
 	for _, p := range t.parent {
@@ -32,5 +38,6 @@ func (t *Tree) CanonicalHash() string {
 	for _, f := range t.f {
 		put(uint64(f))
 	}
+	h.Write(b)
 	return hex.EncodeToString(h.Sum(nil))
 }

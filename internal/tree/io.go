@@ -48,11 +48,26 @@ func Decode(r io.Reader) (*Tree, error) { return DecodeMax(r, math.MaxInt) }
 // with the reader, as for any body); lines after the last node line are
 // ignored.
 func DecodeMax(r io.Reader, maxNodes int) (*Tree, error) {
-	b, err := io.ReadAll(r)
+	b, err := readAll(r)
 	if err != nil {
 		return nil, fmt.Errorf("tree: decode: %w", err)
 	}
 	return decodeText(&textLines{b: b}, maxNodes)
+}
+
+// readAll reads r to its end: into one buffer of the right size when r
+// knows how much it holds (a strings.Reader, bytes.Reader or
+// bytes.Buffer), else growing the buffer as io.ReadAll does.
+func readAll(r io.Reader) ([]byte, error) {
+	lr, ok := r.(interface{ Len() int })
+	if !ok {
+		return io.ReadAll(r)
+	}
+	// ReadFrom reads while MinRead bytes are free, so the end is found
+	// without growing the buffer.
+	buf := bytes.NewBuffer(make([]byte, 0, lr.Len()+bytes.MinRead))
+	_, err := buf.ReadFrom(r)
+	return buf.Bytes(), err
 }
 
 // maxLine is the longest line the text format allows (excluding its
@@ -64,6 +79,7 @@ const maxLine = 1<<24 - 1
 // trailing '\r' dropped. It reads raw bytes, or, when quoted, the body of
 // a JSON string: escapes are decoded and invalid UTF-8 becomes U+FFFD on
 // the fly, exactly as encoding/json would unquote the string first.
+// Node lines that need none of that are read in place (node).
 type textLines struct {
 	b      []byte
 	i      int
@@ -180,7 +196,9 @@ func decodeText(l *textLines, maxNodes int) (*Tree, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tree: decode: %w", err)
 	}
-	nn64, err := parseInt(line, strconv.IntSize)
+	var num number
+	end, fail := lexNumber(line, 0, false, &num)
+	nn64, err := textInt(&num, fail == "" && end == len(line), line, strconv.IntSize)
 	if err != nil {
 		return nil, fmt.Errorf("tree: decode: bad node count %q: %w", line, err)
 	}
@@ -196,43 +214,195 @@ func decodeText(l *textLines, maxNodes int) (*Tree, error) {
 	n := make([]int64, nn)
 	f := make([]int64, nn)
 	seen := make([]uint64, (nn+63)/64)
-	var fields [5][]byte
+	var nl nodeLine
 	for k := 0; k < nn; k++ {
-		line, err := l.content()
+		src, err := l.node(&nl)
 		if err != nil {
 			return nil, fmt.Errorf("tree: decode: node line %d: %w", k, err)
 		}
-		if got := splitFields(line, &fields); got != 5 {
-			return nil, fmt.Errorf("tree: decode: node line %q: want 5 fields, got %d", line, got)
-		}
-		i64, err := parseInt(fields[0], strconv.IntSize)
-		if err != nil || i64 < 0 || i64 >= int64(nn) {
-			return nil, fmt.Errorf("tree: decode: bad node id %q", fields[0])
-		}
-		i := int(i64)
-		if seen[i/64]&(1<<(i%64)) != 0 {
+		i := nl.id
+		switch {
+		case nl.fields != 5:
+			return nil, fmt.Errorf("tree: decode: node line %q: want 5 fields, got %d", src, nl.fields)
+		case nl.bad == 0 || i < 0 || i >= nn:
+			return nil, fmt.Errorf("tree: decode: bad node id %q", nl.lit(src, 0))
+		case seen[i/64]&(1<<(i%64)) != 0:
 			return nil, fmt.Errorf("tree: decode: duplicate node %d", i)
+		case nl.bad > 0:
+			return nil, fmt.Errorf("tree: decode: node %d: bad %s %q", i, fieldNames[nl.bad], nl.lit(src, nl.bad))
 		}
 		seen[i/64] |= 1 << (i % 64)
-		p, err := parseInt(fields[1], strconv.IntSize)
-		if err != nil {
-			return nil, fmt.Errorf("tree: decode: node %d: bad parent %q", i, fields[1])
-		}
-		parent[i] = int(p)
-		if w[i], err = strconv.ParseFloat(string(fields[2]), 64); err != nil {
-			return nil, fmt.Errorf("tree: decode: node %d: bad w %q", i, fields[2])
-		}
-		if n[i], err = parseInt(fields[3], 64); err != nil {
-			return nil, fmt.Errorf("tree: decode: node %d: bad n %q", i, fields[3])
-		}
-		if f[i], err = parseInt(fields[4], 64); err != nil {
-			return nil, fmt.Errorf("tree: decode: node %d: bad f %q", i, fields[4])
-		}
+		parent[i], w[i], n[i], f[i] = nl.parent, nl.w, nl.n, nl.f
 	}
 	if err := l.finish(); err != nil {
 		return nil, err
 	}
 	return build(parent, w, n, f)
+}
+
+// fieldNames names the fields of a node line in error messages.
+var fieldNames = [5]string{"id", "parent", "w", "n", "f"}
+
+// nodeLine is a node line of the text form as readNode read it: where
+// its first five fields lie and their values, how many fields it has, and
+// the first of the five that is not a valid value (-1 when none is). It
+// holds no pointers, so filling it costs no write barriers.
+type nodeLine struct {
+	span       [5][2]int
+	fields     int
+	bad        int
+	id, parent int
+	w          float64
+	n, f       int64
+}
+
+// lit returns field k of the line read from src.
+func (nl *nodeLine) lit(src []byte, k int) []byte { return src[nl.span[k][0]:nl.span[k][1]] }
+
+// node reads the next node line into nl and returns the bytes it read it
+// from. It reads the line in place, with one pass of readNode, when it
+// can: a line of five fields that needs no unescaping. Any other line,
+// blank and comment lines included, is taken from content (unescaped,
+// trimmed, its length checked) and read from there; then the bytes
+// returned are that line.
+func (l *textLines) node(nl *nodeLine) ([]byte, error) {
+	if !l.done {
+		end, ok := readNode(l.b, l.i, l.quoted, nl)
+		if ok && nl.fields == 5 && end-l.i <= maxLine {
+			l.i = end + 1 // past the '\n' or the closing quote
+			switch {
+			case end == len(l.b):
+				l.i, l.done = end, true
+			case l.quoted && l.b[end] == '\\':
+				l.i++ // a `\n` escape is two bytes
+			case l.quoted:
+				l.done = true
+			}
+			return l.b, nil
+		}
+	}
+	line, err := l.content()
+	if err != nil {
+		return nil, err
+	}
+	readNode(line, 0, false, nl)
+	return line, nil
+}
+
+// readNode reads the node line that starts at b[i] into nl, converting
+// each field as the cursor reaches it, and returns where the line ends.
+// Fields are separated by white space as strings.Fields separates them.
+// A raw line ends at '\n' or at the end of b. A quoted line is the body
+// of a JSON string read in place: it ends at a `\n` escape or at the
+// closing quote, and readNode reports false, for the line to be
+// unescaped and read raw, at any byte that does not stand for itself
+// there (another escape, a control or non-ASCII byte) and at any field
+// beyond plain decimal. It also reports false for a comment line, which
+// content skips.
+func readNode(b []byte, i int, quoted bool, nl *nodeLine) (end int, ok bool) {
+	nl.fields, nl.bad = 0, -1
+	var num number
+	ends := &fieldEnd[0]
+	if quoted {
+		ends = &fieldEnd[1]
+	}
+	for {
+		for i < len(b) {
+			if c := b[i]; c == ' ' || !quoted && c < utf8.RuneSelf && c != '\n' && asciiSpace[c] {
+				i++
+				continue
+			} else if c < utf8.RuneSelf || quoted {
+				break
+			}
+			r, n := utf8.DecodeRune(b[i:])
+			if !unicode.IsSpace(r) {
+				break
+			}
+			i += n
+		}
+		switch {
+		case i == len(b):
+			return i, !quoted
+		case quoted && (b[i] == '"' || b[i] == '\\' && i+1 < len(b) && b[i+1] == 'n'), !quoted && b[i] == '\n':
+			return i, true
+		case b[i] == '#' && nl.fields == 0:
+			return i, false
+		}
+		start := i
+		e, fail := lexNumber(b, i, false, &num)
+		plain := fail == "" && (e == len(b) || ends[b[e]])
+		if !plain {
+			if quoted {
+				return e, false
+			}
+			e = skip(b, start, false)
+		}
+		i = e
+		k := nl.fields
+		nl.fields++
+		if k >= len(nl.span) || nl.bad >= 0 {
+			continue
+		}
+		nl.span[k] = [2]int{start, e}
+		if k == 2 {
+			var err error
+			if nl.w, err = textFloat(&num, plain, b[start:e]); err != nil {
+				nl.bad = k
+			}
+			continue
+		}
+		bitSize := 64
+		if k < 2 {
+			bitSize = strconv.IntSize
+		}
+		v, ok := num.toInt(bitSize)
+		if !plain || !ok {
+			var err error
+			if v, err = textInt(&num, plain, b[start:e], bitSize); err != nil {
+				nl.bad = k
+			}
+		}
+		switch k {
+		case 0:
+			nl.id = int(v)
+		case 1:
+			nl.parent = int(v)
+		case 3:
+			nl.n = v
+		case 4:
+			nl.f = v
+		}
+	}
+}
+
+// fieldEnd marks the bytes that may follow a plain decimal field: raw
+// (white space), and quoted (a space, a `\n` escape or the closing quote;
+// an escape other than `\n` stops readNode at the next field).
+var fieldEnd = [2][256]bool{
+	{'\t': true, '\n': true, '\v': true, '\f': true, '\r': true, ' ': true},
+	{' ': true, '\\': true, '"': true},
+}
+
+// textInt and textFloat convert a field of the text form as
+// strconv.ParseInt(lit, 10, bitSize) and strconv.ParseFloat(lit, 64) do.
+// A plain field, one the lexer read whole, converts from its lexed num;
+// any other, and any that fails to, goes to strconv, which decides.
+func textInt(num *number, plain bool, lit []byte, bitSize int) (int64, error) {
+	if plain {
+		if v, ok := num.toInt(bitSize); ok {
+			return v, nil
+		}
+	}
+	return strconv.ParseInt(string(lit), 10, bitSize)
+}
+
+func textFloat(num *number, plain bool, lit []byte) (float64, error) {
+	if plain {
+		if v, ok := num.toFloat(lit); ok {
+			return v, nil
+		}
+	}
+	return strconv.ParseFloat(string(lit), 64)
 }
 
 // asciiSpace marks the ASCII bytes unicode.IsSpace accepts.
@@ -269,20 +439,4 @@ func trimSpace(b []byte) []byte {
 		b = b[:len(b)-n]
 	}
 	return b
-}
-
-// splitFields stores the first len(*fields) white-space separated fields
-// of line (as strings.Fields splits) and returns how many fields there
-// are in all.
-func splitFields(line []byte, fields *[5][]byte) int {
-	count := 0
-	for i := skip(line, 0, true); i < len(line); i = skip(line, i, true) {
-		start := i
-		i = skip(line, i, false)
-		if count < len(fields) {
-			fields[count] = line[start:i]
-		}
-		count++
-	}
-	return count
 }

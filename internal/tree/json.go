@@ -76,13 +76,13 @@ func decodeJSON(s *scanner, depth, maxNodes int) (*Tree, error) {
 		}
 		switch {
 		case keyIs(key, esc, "parent"):
-			parent, counts[0], err = wireArray(s, "parent", maxNodes, parseJSONInt)
+			parent, counts[0], err = wireArray[int](s, "parent", maxNodes)
 		case keyIs(key, esc, "w"):
-			w, counts[1], err = wireArray(s, "w", maxNodes, parseJSONFloat)
+			w, counts[1], err = wireArray[float64](s, "w", maxNodes)
 		case keyIs(key, esc, "n"):
-			n, counts[2], err = wireArray(s, "n", maxNodes, parseJSONInt64)
+			n, counts[2], err = wireArray[int64](s, "n", maxNodes)
 		case keyIs(key, esc, "f"):
-			f, counts[3], err = wireArray(s, "f", maxNodes, parseJSONInt64)
+			f, counts[3], err = wireArray[int64](s, "f", maxNodes)
 		default:
 			err = s.skipValue(depth + 1)
 		}
@@ -113,11 +113,13 @@ func decodeJSON(s *scanner, depth, maxNodes int) (*Tree, error) {
 }
 
 // wireArray decodes the member value at the cursor: null (a nil slice) or
-// an array of numbers and nulls, where a null element decodes to zero. It
-// returns the element count, counted before anything is allocated; an
-// array of more than maxNodes elements is validated by parse but not
-// stored.
-func wireArray[T int | int64 | float64](s *scanner, name string, maxNodes int, parse func([]byte) (T, bool)) ([]T, int, error) {
+// an array of numbers and nulls, where a null element decodes to zero.
+// Each number is lexed once and converted as encoding/json converts it
+// into a T: to the nearest float64, or to an int or int64 exactly or not
+// at all. It returns the element count, counted before anything is
+// allocated; an array of more than maxNodes elements is validated but
+// not stored.
+func wireArray[T int | int64 | float64](s *scanner, name string, maxNodes int) ([]T, int, error) {
 	switch s.peek() {
 	case 'n':
 		return nil, 0, s.literal("null")
@@ -142,7 +144,14 @@ func wireArray[T int | int64 | float64](s *scanner, name string, maxNodes int, p
 	if count <= maxNodes {
 		vals = make([]T, count)
 	}
+	var zero T
+	_, isFloat := any(zero).(float64)
+	bitSize := 64
+	if _, isInt := any(zero).(int); isInt {
+		bitSize = strconv.IntSize
+	}
 	k := 0
+	var num number
 	for more := s.open(); more; k++ {
 		var v T
 		if s.peek() == 'n' {
@@ -150,17 +159,33 @@ func wireArray[T int | int64 | float64](s *scanner, name string, maxNodes int, p
 				return nil, 0, err
 			}
 		} else {
-			lit, err := s.number()
-			if err != nil {
-				return nil, 0, err
+			start := s.i
+			var fail string
+			if s.i, fail = lexNumber(s.b, s.i, true, &num); fail != "" {
+				return nil, 0, s.fail(fail)
 			}
-			var ok bool
-			if v, ok = parse(lit); !ok {
+			lit := s.b[start:s.i]
+			ok := false
+			if isFloat {
+				var f float64
+				f, ok = num.toFloat(lit)
+				v = T(f)
+			} else {
+				var i int64
+				i, ok = num.toInt(bitSize)
+				v = T(i)
+			}
+			if !ok {
 				return nil, 0, fmt.Errorf("%s: cannot decode number %s into %T", name, lit, v)
 			}
 		}
 		if vals != nil {
 			vals[k] = v
+		}
+		if s.peek() == ',' { // the common case, handled here without a call
+			s.i++
+			s.ws()
+			continue
 		}
 		var err error
 		if more, err = s.more(false); err != nil {
@@ -168,51 +193,4 @@ func wireArray[T int | int64 | float64](s *scanner, name string, maxNodes int, p
 		}
 	}
 	return vals, count, nil
-}
-
-// parseJSONInt and parseJSONInt64 convert a JSON number literal to an
-// integer as encoding/json does: strconv.ParseInt with the type's width,
-// so a fraction, an exponent or an overflow fails.
-func parseJSONInt(lit []byte) (int, bool) {
-	v, err := parseInt(lit, strconv.IntSize)
-	return int(v), err == nil
-}
-
-func parseJSONInt64(lit []byte) (int64, bool) {
-	v, err := parseInt(lit, 64)
-	return v, err == nil
-}
-
-// parseJSONFloat converts a JSON number literal to a float64 as
-// encoding/json does.
-func parseJSONFloat(lit []byte) (float64, bool) {
-	v, err := strconv.ParseFloat(string(lit), 64)
-	return v, err == nil
-}
-
-// parseInt parses a base-10 integer of the given bit size exactly as
-// strconv.ParseInt(string(b), 10, bits) does, without allocating on the
-// common short form: an optional sign and up to 18 digits.
-func parseInt(b []byte, bits int) (int64, error) {
-	d := b
-	if len(d) > 0 && (d[0] == '+' || d[0] == '-') {
-		d = d[1:]
-	}
-	if len(d) == 0 || len(d) > 18 {
-		return strconv.ParseInt(string(b), 10, bits)
-	}
-	var v int64
-	for _, c := range d {
-		if c < '0' || c > '9' {
-			return strconv.ParseInt(string(b), 10, bits)
-		}
-		v = v*10 + int64(c-'0')
-	}
-	if b[0] == '-' {
-		v = -v
-	}
-	if bits < 64 && v != v<<(64-bits)>>(64-bits) {
-		return strconv.ParseInt(string(b), 10, bits)
-	}
-	return v, nil
 }

@@ -85,9 +85,13 @@ func (s *scanner) skipValue(depth int) error {
 	case c == '"':
 		_, _, err := s.str()
 		return err
-	case c == '-' || '0' <= c && c <= '9':
-		_, err := s.number()
-		return err
+	case c == '-' || isDigit(c):
+		var num number
+		var fail string
+		if s.i, fail = lexNumber(s.b, s.i, true, &num); fail != "" {
+			return s.fail(fail)
+		}
+		return nil
 	case c == 't':
 		return s.literal("true")
 	case c == 'f':
@@ -191,49 +195,6 @@ func (s *scanner) str() (raw []byte, escaped bool, err error) {
 	}
 	return nil, false, s.fail("")
 }
-
-// number validates and skips the JSON number at the cursor and returns
-// its literal.
-func (s *scanner) number() ([]byte, error) {
-	start := s.i
-	if s.peek() == '-' {
-		s.i++
-	}
-	switch c := s.peek(); {
-	case c == '0':
-		s.i++
-	case '1' <= c && c <= '9':
-		s.digits()
-	default:
-		return nil, s.fail("in numeric literal")
-	}
-	if s.peek() == '.' {
-		s.i++
-		if !isDigit(s.peek()) {
-			return nil, s.fail("after decimal point in numeric literal")
-		}
-		s.digits()
-	}
-	if c := s.peek(); c == 'e' || c == 'E' {
-		s.i++
-		if c := s.peek(); c == '+' || c == '-' {
-			s.i++
-		}
-		if !isDigit(s.peek()) {
-			return nil, s.fail("in exponent of numeric literal")
-		}
-		s.digits()
-	}
-	return s.b[start:s.i], nil
-}
-
-func (s *scanner) digits() {
-	for s.i < len(s.b) && isDigit(s.b[s.i]) {
-		s.i++
-	}
-}
-
-func isDigit(c byte) bool { return '0' <= c && c <= '9' }
 
 // literal validates and skips the literal word (true, false or null).
 func (s *scanner) literal(word string) error {
